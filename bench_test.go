@@ -243,7 +243,8 @@ func BenchmarkCompileMazuNAT(b *testing.B) {
 }
 
 // BenchmarkSwitchFastPath measures the simulated switch's per-packet cost
-// on the fast path (table hit, rewrite, emit).
+// on the fast path (table hit, rewrite, emit). One packet is reused and
+// restored before every pass, so the timed region holds only the pass.
 func BenchmarkSwitchFastPath(b *testing.B) {
 	art, err := gallium.CompileBuiltin("minilb", gallium.Options{})
 	if err != nil {
@@ -261,12 +262,62 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	}
 	sw.FlipVisibility()
 	sw.MergeWriteback()
-	pkt := packet.BuildTCP(src, dst, 1000, 80, packet.TCPOptions{})
+	pristine := packet.BuildTCP(src, dst, 1000, 80, packet.TCPOptions{})
+	pkt := &packet.Packet{}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := *pkt // shallow copy is fine: fast path rewrites headers only
-		if _, err := sw.ProcessPre(&p); err != nil {
+		resetPacket(pkt, pristine)
+		if _, err := sw.ProcessPre(pkt); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSwitchPreMazuNAT times the switch pre pass on one seeded
+// mazunat flow: the fast-path table hit every timed packet of the
+// perfbench steady workload takes.
+func BenchmarkSwitchPreMazuNAT(b *testing.B) {
+	art, err := gallium.CompileBuiltin("mazunat", gallium.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sw := switchsim.New(art.Res)
+	srv := serverrt.New(art.Res)
+	middleboxes.ConfigureState("mazunat", srv.State)
+	if err := sw.SeedFrom(srv.State); err != nil {
+		b.Fatal(err)
+	}
+	pristine := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(9, 9, 9, 9), 1234, 80,
+		packet.TCPOptions{Payload: []byte("hello middlebox")})
+	pkt := &packet.Packet{}
+	// Open the flow: its first packet takes the slow path, and the NAT
+	// entries the server allocates replicate to the switch.
+	resetPacket(pkt, pristine)
+	if pre, err := sw.ProcessPre(pkt); err != nil || pre.Action != ir.ActionNext {
+		b.Fatalf("first packet: action %v, err %v; want the slow path", pre.Action, err)
+	}
+	res, err := srv.Process(pkt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, u := range res.Updates {
+		if err := sw.StageWriteback(u); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sw.FlipVisibility()
+	sw.MergeWriteback()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resetPacket(pkt, pristine)
+		pre, err := sw.ProcessPre(pkt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if pre.Action != ir.ActionSent {
+			b.Fatalf("pre action %v, want a fast-path hit", pre.Action)
 		}
 	}
 }
@@ -375,7 +426,9 @@ func BenchmarkTestbedInject(b *testing.B) {
 
 // benchTestbedWithMetrics drives the firewall testbed with or without an
 // observability registry; the Off/On pair quantifies the instrumentation
-// overhead (the nil-handle fast path should keep it within a few percent).
+// overhead. On a 2-CPU host it measured 693 → 807 ns/op, +16%, well above
+// the ≤5% the observability gate in ROADMAP.md sets; nothing enforces
+// that gate yet.
 func benchTestbedWithMetrics(b *testing.B, reg *obs.Registry) {
 	b.Helper()
 	art, err := gallium.CompileBuiltin("firewall", gallium.Options{})

@@ -328,8 +328,8 @@ func New(cfg Config) (*Engine, error) {
 			hLat: obs.NewHistogram(nil),
 			// Decorrelate the per-worker jitter streams.
 			jitterState: uint64(i+1) * 0x9E3779B97F4A7C15,
-			life:  make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
-			touch: make([]func(string, ir.MapKey), len(e.stages)),
+			life:        make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
+			touch:       make([]func(string, ir.MapKey), len(e.stages)),
 		}
 		for _, st := range e.stages {
 			if len(e.sws) > 0 {

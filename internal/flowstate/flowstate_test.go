@@ -9,6 +9,10 @@ import (
 	"gallium/internal/packet"
 )
 
+// conns is the tracked table's declaration; State's access methods
+// take the resolved global.
+var conns = &ir.Global{Name: "conns", Kind: ir.KindMap}
+
 func newState(tables ...string) *ir.State {
 	st := &ir.State{
 		Maps:    map[string]map[ir.MapKey][]uint64{},
@@ -133,9 +137,9 @@ func TestSweepExpiry(t *testing.T) {
 
 	st.Class = uint8(ClassUDP)
 	st.NowNs = 0
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert(conns, ir.MakeMapKey(1), []uint64{1})
 	st.NowNs = int64(25 * time.Second)
-	st.MapInsert("conns", ir.MakeMapKey(2), []uint64{2})
+	st.MapInsert(conns, ir.MakeMapKey(2), []uint64{2})
 
 	// At t=31s key 1 is 31s idle (expired), key 2 is 6s idle (alive).
 	rm := tr.Sweep(int64(31*time.Second), true)
@@ -159,9 +163,9 @@ func TestSweepTouchRefreshes(t *testing.T) {
 
 	st.Class = uint8(ClassUDP)
 	st.NowNs = 0
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert(conns, ir.MakeMapKey(1), []uint64{1})
 	st.NowNs = int64(20 * time.Second)
-	st.MapFind("conns", ir.MakeMapKey(1)) // hit refreshes the stamp
+	st.MapFind(conns, ir.MakeMapKey(1)) // hit refreshes the stamp
 
 	if rm := tr.Sweep(int64(40*time.Second), true); len(rm) != 0 {
 		t.Fatalf("refreshed entry expired: %+v", rm)
@@ -179,9 +183,9 @@ func TestSweepClassTimeouts(t *testing.T) {
 
 	st.NowNs = 0
 	st.Class = uint8(ClassTCPSyn)
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert(conns, ir.MakeMapKey(1), []uint64{1})
 	st.Class = uint8(ClassTCPEst)
-	st.MapInsert("conns", ir.MakeMapKey(2), []uint64{2})
+	st.MapInsert(conns, ir.MakeMapKey(2), []uint64{2})
 
 	rm := tr.Sweep(int64(6*time.Second), true)
 	if len(rm) != 1 || rm[0].Key != ir.MakeMapKey(1) {
@@ -217,7 +221,7 @@ func TestSweepLRUEviction(t *testing.T) {
 	st.Class = uint8(ClassUDP)
 	for i, at := range []int64{30, 10, 20, 40} { // keys 0..3 touched at these ns
 		st.NowNs = at
-		st.MapInsert("conns", ir.MakeMapKey(uint64(i)), []uint64{1})
+		st.MapInsert(conns, ir.MakeMapKey(uint64(i)), []uint64{1})
 	}
 	rm := tr.Sweep(50, true)
 	if len(rm) != 2 {
@@ -243,7 +247,7 @@ func TestSweepEvictNone(t *testing.T) {
 		st, []string{"conns"})
 	st.Class = uint8(ClassUDP)
 	for i := 0; i < 5; i++ {
-		st.MapInsert("conns", ir.MakeMapKey(uint64(i)), []uint64{1})
+		st.MapInsert(conns, ir.MakeMapKey(uint64(i)), []uint64{1})
 	}
 	if rm := tr.Sweep(1, true); len(rm) != 0 {
 		t.Fatalf("EvictNone removed entries: %+v", rm)
@@ -262,7 +266,7 @@ func TestIncrementalSweepBudget(t *testing.T) {
 	st.Class = uint8(ClassUDP)
 	st.NowNs = 0
 	for i := 0; i < 100; i++ {
-		st.MapInsert("conns", ir.MakeMapKey(uint64(i)), []uint64{1})
+		st.MapInsert(conns, ir.MakeMapKey(uint64(i)), []uint64{1})
 	}
 	now := int64(2 * time.Second) // everything is stale
 	if rm := tr.Sweep(now, false); len(rm) > 10 {
@@ -285,7 +289,7 @@ func TestSetConfigPreservesCounters(t *testing.T) {
 	tr := NewTracker(Config{Capacity: 10, UDPTimeout: time.Second}, st, []string{"conns"})
 	st.Class = uint8(ClassUDP)
 	st.NowNs = 0
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert(conns, ir.MakeMapKey(1), []uint64{1})
 	tr.Sweep(int64(2*time.Second), true)
 	if tr.Stats().Expired != 1 {
 		t.Fatalf("setup sweep: %+v", tr.Stats())
@@ -293,7 +297,7 @@ func TestSetConfigPreservesCounters(t *testing.T) {
 
 	tr.SetConfig(Config{Capacity: 10, UDPTimeout: time.Hour})
 	st.NowNs = int64(3 * time.Second)
-	st.MapInsert("conns", ir.MakeMapKey(2), []uint64{2})
+	st.MapInsert(conns, ir.MakeMapKey(2), []uint64{2})
 	if rm := tr.Sweep(int64(10*time.Second), true); len(rm) != 0 {
 		t.Fatalf("entry expired under retuned 1h timeout: %+v", rm)
 	}
@@ -307,7 +311,7 @@ func TestStateCloneCarriesLifecycle(t *testing.T) {
 	NewTracker(Config{Capacity: 10}, st, []string{"conns"})
 	st.Class = uint8(ClassUDP)
 	st.NowNs = 7
-	st.MapInsert("conns", ir.MakeMapKey(1), []uint64{1})
+	st.MapInsert(conns, ir.MakeMapKey(1), []uint64{1})
 
 	cl := st.Clone()
 	if cl.LastTouch["conns"][ir.MakeMapKey(1)] != 7 {

@@ -128,44 +128,44 @@ func (b *Builder) MapFind(name string, g *Global, keys ...Reg) (found Reg, vals 
 		dst = append(dst, v)
 		vals = append(vals, v)
 	}
-	b.emit(Instr{Kind: MapFind, Dst: dst, Args: keys, Obj: g.Name})
+	b.emit(Instr{Kind: MapFind, Dst: dst, Args: keys, Obj: g.Name, glob: g})
 	return found, vals
 }
 
 // MapInsert emits m.insert(keys..., vals...).
 func (b *Builder) MapInsert(g *Global, keys, vals []Reg) {
-	b.emit(Instr{Kind: MapInsert, Args: append(append([]Reg{}, keys...), vals...), Obj: g.Name})
+	b.emit(Instr{Kind: MapInsert, Args: append(append([]Reg{}, keys...), vals...), Obj: g.Name, glob: g})
 }
 
 // MapRemove emits m.remove(keys...).
 func (b *Builder) MapRemove(g *Global, keys []Reg) {
-	b.emit(Instr{Kind: MapRemove, Args: append([]Reg{}, keys...), Obj: g.Name})
+	b.emit(Instr{Kind: MapRemove, Args: append([]Reg{}, keys...), Obj: g.Name, glob: g})
 }
 
 // VecGet emits dst = v[idx].
 func (b *Builder) VecGet(name string, g *Global, idx Reg) Reg {
 	dst := b.NewReg(name, g.ValTypes[0])
-	b.emit(Instr{Kind: VecGet, Dst: []Reg{dst}, Args: []Reg{idx}, Obj: g.Name})
+	b.emit(Instr{Kind: VecGet, Dst: []Reg{dst}, Args: []Reg{idx}, Obj: g.Name, glob: g})
 	return dst
 }
 
 // VecLen emits dst = v.size().
 func (b *Builder) VecLen(name string, g *Global) Reg {
 	dst := b.NewReg(name, U32)
-	b.emit(Instr{Kind: VecLen, Dst: []Reg{dst}, Obj: g.Name, Typ: U32})
+	b.emit(Instr{Kind: VecLen, Dst: []Reg{dst}, Obj: g.Name, glob: g, Typ: U32})
 	return dst
 }
 
 // GlobalLoad emits dst = g.
 func (b *Builder) GlobalLoad(name string, g *Global) Reg {
 	dst := b.NewReg(name, g.ValTypes[0])
-	b.emit(Instr{Kind: GlobalLoad, Dst: []Reg{dst}, Obj: g.Name})
+	b.emit(Instr{Kind: GlobalLoad, Dst: []Reg{dst}, Obj: g.Name, glob: g})
 	return dst
 }
 
 // GlobalStore emits g = x.
 func (b *Builder) GlobalStore(g *Global, x Reg) {
-	b.emit(Instr{Kind: GlobalStore, Args: []Reg{x}, Obj: g.Name})
+	b.emit(Instr{Kind: GlobalStore, Args: []Reg{x}, Obj: g.Name, glob: g})
 }
 
 // LpmFind emits found, vals... = lpm.lookup(key).
@@ -177,7 +177,7 @@ func (b *Builder) LpmFind(name string, g *Global, key Reg) (found Reg, vals []Re
 		dst = append(dst, v)
 		vals = append(vals, v)
 	}
-	b.emit(Instr{Kind: LpmFind, Dst: dst, Args: []Reg{key}, Obj: g.Name})
+	b.emit(Instr{Kind: LpmFind, Dst: dst, Args: []Reg{key}, Obj: g.Name, glob: g})
 	return found, vals
 }
 

@@ -236,43 +236,45 @@ func (s *State) Equal(o *State) bool {
 // StateAccess abstracts how instructions reach middlebox state. The plain
 // State implements it directly; the switch simulator substitutes an
 // implementation with write-back-table lookup semantics and read-only
-// enforcement (§4.3.3).
+// enforcement (§4.3.3). Every method receives the global resolved ahead
+// of execution, so an implementation may index its state by Global.ID
+// instead of hashing the name per access.
 type StateAccess interface {
-	MapFind(name string, key MapKey) ([]uint64, bool)
-	MapInsert(name string, key MapKey, vals []uint64) error
-	MapRemove(name string, key MapKey) error
-	VecGet(name string, idx uint64) (uint64, error)
-	VecLen(name string) uint64
-	GlobalLoad(name string) uint64
-	GlobalStore(name string, v uint64) error
-	LpmFind(name string, key uint64) ([]uint64, bool)
+	MapFind(g *Global, key MapKey) ([]uint64, bool)
+	MapInsert(g *Global, key MapKey, vals []uint64) error
+	MapRemove(g *Global, key MapKey) error
+	VecGet(g *Global, idx uint64) (uint64, error)
+	VecLen(g *Global) uint64
+	GlobalLoad(g *Global) uint64
+	GlobalStore(g *Global, v uint64) error
+	LpmFind(g *Global, key uint64) ([]uint64, bool)
 }
 
 // MapFind implements StateAccess.
-func (s *State) MapFind(name string, key MapKey) ([]uint64, bool) {
-	vals, ok := s.Maps[name][key]
+func (s *State) MapFind(g *Global, key MapKey) ([]uint64, bool) {
+	vals, ok := s.Maps[g.Name][key]
 	if ok && s.LastTouch != nil {
-		s.stamp(name, key)
+		s.stamp(g.Name, key)
 	}
 	return vals, ok
 }
 
 // MapInsert implements StateAccess.
-func (s *State) MapInsert(name string, key MapKey, vals []uint64) error {
-	s.Maps[name][key] = vals
+func (s *State) MapInsert(g *Global, key MapKey, vals []uint64) error {
+	s.Maps[g.Name][key] = vals
 	if s.LastTouch != nil {
-		s.stamp(name, key)
+		s.stamp(g.Name, key)
 	}
 	return nil
 }
 
 // MapRemove implements StateAccess.
-func (s *State) MapRemove(name string, key MapKey) error {
-	delete(s.Maps[name], key)
+func (s *State) MapRemove(g *Global, key MapKey) error {
+	delete(s.Maps[g.Name], key)
 	if s.LastTouch != nil {
-		if lt := s.LastTouch[name]; lt != nil {
+		if lt := s.LastTouch[g.Name]; lt != nil {
 			delete(lt, key)
-			delete(s.TouchClass[name], key)
+			delete(s.TouchClass[g.Name], key)
 		}
 	}
 	return nil
@@ -300,31 +302,36 @@ func (s *State) stamp(name string, key MapKey) {
 }
 
 // VecGet implements StateAccess.
-func (s *State) VecGet(name string, idx uint64) (uint64, error) {
-	vec := s.Vecs[name]
+func (s *State) VecGet(g *Global, idx uint64) (uint64, error) {
+	vec := s.Vecs[g.Name]
 	if idx >= uint64(len(vec)) {
-		return 0, fmt.Errorf("ir: vector %q index %d out of range (len %d)", name, idx, len(vec))
+		return 0, fmt.Errorf("ir: vector %q index %d out of range (len %d)", g.Name, idx, len(vec))
 	}
 	return vec[idx], nil
 }
 
 // VecLen implements StateAccess.
-func (s *State) VecLen(name string) uint64 { return uint64(len(s.Vecs[name])) }
+func (s *State) VecLen(g *Global) uint64 { return uint64(len(s.Vecs[g.Name])) }
 
 // GlobalLoad implements StateAccess.
-func (s *State) GlobalLoad(name string) uint64 { return s.Globals[name] }
+func (s *State) GlobalLoad(g *Global) uint64 { return s.Globals[g.Name] }
 
 // GlobalStore implements StateAccess.
-func (s *State) GlobalStore(name string, v uint64) error {
-	s.Globals[name] = v
+func (s *State) GlobalStore(g *Global, v uint64) error {
+	s.Globals[g.Name] = v
 	return nil
 }
 
 // LpmFind implements StateAccess: longest matching prefix wins.
-func (s *State) LpmFind(name string, key uint64) ([]uint64, bool) {
+func (s *State) LpmFind(g *Global, key uint64) ([]uint64, bool) {
+	return LongestPrefix(s.Lpms[g.Name], key)
+}
+
+// LongestPrefix returns the values of the longest entry matching key.
+func LongestPrefix(entries []LpmEntry, key uint64) ([]uint64, bool) {
 	best := -1
 	var vals []uint64
-	for _, e := range s.Lpms[name] {
+	for _, e := range entries {
 		if e.Matches(key) && e.PrefixLen > best {
 			best = e.PrefixLen
 			vals = e.Vals
@@ -351,9 +358,9 @@ type Env struct {
 	// Callers reusing an Env across packets clear it between packets.
 	Xfer []uint64
 	// Regs, when its capacity suffices, is reused as the virtual-register
-	// file instead of allocating one per ExecFunc call. ExecFunc stores
-	// the (possibly grown) buffer back, so a pooled Env converges to
-	// zero-allocation execution.
+	// file instead of allocating one per execution. ExecFunc and
+	// Compiled.Run store the (possibly grown) buffer back, so a pooled Env
+	// converges to zero-allocation execution.
 	Regs []uint64
 }
 
@@ -362,6 +369,19 @@ func (e *Env) access() StateAccess {
 		return e.Access
 	}
 	return e.State
+}
+
+// regFile returns a zeroed register file of n registers, reusing Regs
+// when its capacity suffices and storing a grown buffer back.
+func (e *Env) regFile(n int) []uint64 {
+	if cap(e.Regs) >= n {
+		regs := e.Regs[:n]
+		clear(regs)
+		return regs
+	}
+	regs := make([]uint64, n)
+	e.Regs = regs
+	return regs
 }
 
 // Result reports what happened to the packet and how much work was done.
@@ -381,29 +401,24 @@ func (p *Program) Exec(env *Env) (Result, error) {
 	return ExecFunc(p, p.Fn, env)
 }
 
-// ExecFunc runs fn (the whole program or one partition) against env.
+// ExecFunc runs fn (the whole program or one partition) against env. It
+// is the reference interpreter: it walks the IR as written, and the
+// compiled executor (CompileFunc) is checked against it.
 func ExecFunc(p *Program, fn *Function, env *Env) (Result, error) {
-	var regs []uint64
-	if cap(env.Regs) >= len(fn.Regs) {
-		regs = env.Regs[:len(fn.Regs)]
-		clear(regs)
-	} else {
-		regs = make([]uint64, len(fn.Regs))
-		env.Regs = regs
-	}
+	regs := env.regFile(len(fn.Regs))
 	blk := fn.Blocks[0]
 	steps := 0
 	for {
 		for i := range blk.Instrs {
 			if steps++; steps > maxSteps {
-				return Result{}, fmt.Errorf("ir: %s: step limit exceeded (infinite loop?)", fn.Name)
+				return Result{}, stepLimit(fn.Name)
 			}
 			if err := execInstr(p, fn, &blk.Instrs[i], regs, env); err != nil {
 				return Result{}, err
 			}
 		}
 		if steps++; steps > maxSteps {
-			return Result{}, fmt.Errorf("ir: %s: step limit exceeded (infinite loop?)", fn.Name)
+			return Result{}, stepLimit(fn.Name)
 		}
 		t := &blk.Term
 		switch t.Kind {
@@ -427,6 +442,18 @@ func ExecFunc(p *Program, fn *Function, env *Env) (Result, error) {
 	}
 }
 
+func stepLimit(fn string) error {
+	return fmt.Errorf("ir: %s: step limit exceeded (infinite loop?)", fn)
+}
+
+func unknownField(in *Instr) error {
+	return fmt.Errorf("ir: stmt %d: unknown header field %q", in.ID, in.Obj)
+}
+
+func unknownGlobal(in *Instr) error {
+	return fmt.Errorf("ir: stmt %d: unknown global %q", in.ID, in.Obj)
+}
+
 func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) error {
 	mask := func(r Reg, v uint64) uint64 { return v & fn.RegType(r).Mask() }
 	switch in.Kind {
@@ -448,15 +475,15 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 	case Convert:
 		regs[in.Dst[0]] = mask(in.Dst[0], regs[in.Args[0]])
 	case LoadHeader:
-		v, err := env.Pkt.GetField(in.Obj)
-		if err != nil {
-			return err
+		if !in.fld.Valid() {
+			return unknownField(in)
 		}
-		regs[in.Dst[0]] = mask(in.Dst[0], v)
+		regs[in.Dst[0]] = mask(in.Dst[0], in.fld.Get(env.Pkt))
 	case StoreHeader:
-		if err := env.Pkt.SetField(in.Obj, regs[in.Args[0]]); err != nil {
-			return err
+		if !in.fld.Valid() {
+			return unknownField(in)
 		}
+		in.fld.Set(env.Pkt, regs[in.Args[0]])
 	case PayloadMatch:
 		pat := in.pat
 		if pat == nil {
@@ -470,9 +497,42 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 		}
 	case Hash:
 		regs[in.Dst[0]] = hashValues(regs, in.Args) & U32.Mask()
-	case MapFind:
-		key := keyOf(regs, in.Args)
-		if vals, ok := env.access().MapFind(in.Obj, key); ok {
+	case MapFind, MapInsert, MapRemove, VecGet, VecLen, GlobalLoad, GlobalStore, LpmFind:
+		g := p.globalOf(in)
+		if g == nil {
+			return unknownGlobal(in)
+		}
+		return execState(fn, in, g, regs, env)
+	case XferLoad:
+		if in.Slot <= 0 || in.Slot > len(env.Xfer) {
+			return fmt.Errorf("ir: stmt %d: xferload %q with no transfer context (slot %d, %d slots)", in.ID, in.Obj, in.Slot, len(env.Xfer))
+		}
+		regs[in.Dst[0]] = mask(in.Dst[0], env.Xfer[in.Slot-1])
+	case XferStore:
+		if in.Slot <= 0 || in.Slot > len(env.Xfer) {
+			return fmt.Errorf("ir: stmt %d: xferstore %q with no transfer context (slot %d, %d slots)", in.ID, in.Obj, in.Slot, len(env.Xfer))
+		}
+		env.Xfer[in.Slot-1] = regs[in.Args[0]]
+	default:
+		return fmt.Errorf("ir: stmt %d: cannot execute kind %s", in.ID, in.Kind)
+	}
+	return nil
+}
+
+// execState executes one state instruction against the resolved global g.
+func execState(fn *Function, in *Instr, g *Global, regs []uint64, env *Env) error {
+	mask := func(r Reg, v uint64) uint64 { return v & fn.RegType(r).Mask() }
+	acc := env.access()
+	switch in.Kind {
+	case MapFind, LpmFind:
+		var vals []uint64
+		var ok bool
+		if in.Kind == MapFind {
+			vals, ok = acc.MapFind(g, keyOf(regs, in.Args))
+		} else {
+			vals, ok = acc.LpmFind(g, regs[in.Args[0]])
+		}
+		if ok {
 			regs[in.Dst[0]] = 1
 			for i, r := range in.Dst[1:] {
 				regs[r] = mask(r, vals[i])
@@ -484,59 +544,33 @@ func execInstr(p *Program, fn *Function, in *Instr, regs []uint64, env *Env) err
 			}
 		}
 	case MapInsert:
-		g := p.Global(in.Obj)
 		nk := len(g.KeyTypes)
 		key := keyOf(regs, in.Args[:nk])
 		vals := make([]uint64, len(in.Args)-nk)
 		for i, r := range in.Args[nk:] {
 			vals[i] = regs[r] & g.ValTypes[i].Mask()
 		}
-		if err := env.access().MapInsert(in.Obj, key, vals); err != nil {
+		if err := acc.MapInsert(g, key, vals); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 	case MapRemove:
-		if err := env.access().MapRemove(in.Obj, keyOf(regs, in.Args)); err != nil {
+		if err := acc.MapRemove(g, keyOf(regs, in.Args)); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 	case VecGet:
-		v, err := env.access().VecGet(in.Obj, regs[in.Args[0]])
+		v, err := acc.VecGet(g, regs[in.Args[0]])
 		if err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
 		regs[in.Dst[0]] = mask(in.Dst[0], v)
 	case VecLen:
-		regs[in.Dst[0]] = env.access().VecLen(in.Obj)
+		regs[in.Dst[0]] = acc.VecLen(g)
 	case GlobalLoad:
-		regs[in.Dst[0]] = mask(in.Dst[0], env.access().GlobalLoad(in.Obj))
+		regs[in.Dst[0]] = mask(in.Dst[0], acc.GlobalLoad(g))
 	case GlobalStore:
-		g := p.Global(in.Obj)
-		if err := env.access().GlobalStore(in.Obj, regs[in.Args[0]]&g.ValTypes[0].Mask()); err != nil {
+		if err := acc.GlobalStore(g, regs[in.Args[0]]&g.ValTypes[0].Mask()); err != nil {
 			return fmt.Errorf("ir: stmt %d: %w", in.ID, err)
 		}
-	case XferLoad:
-		if in.Slot <= 0 || in.Slot > len(env.Xfer) {
-			return fmt.Errorf("ir: stmt %d: xferload %q with no transfer context (slot %d, %d slots)", in.ID, in.Obj, in.Slot, len(env.Xfer))
-		}
-		regs[in.Dst[0]] = mask(in.Dst[0], env.Xfer[in.Slot-1])
-	case LpmFind:
-		if vals, ok := env.access().LpmFind(in.Obj, regs[in.Args[0]]); ok {
-			regs[in.Dst[0]] = 1
-			for i, r := range in.Dst[1:] {
-				regs[r] = mask(r, vals[i])
-			}
-		} else {
-			regs[in.Dst[0]] = 0
-			for _, r := range in.Dst[1:] {
-				regs[r] = 0
-			}
-		}
-	case XferStore:
-		if in.Slot <= 0 || in.Slot > len(env.Xfer) {
-			return fmt.Errorf("ir: stmt %d: xferstore %q with no transfer context (slot %d, %d slots)", in.ID, in.Obj, in.Slot, len(env.Xfer))
-		}
-		env.Xfer[in.Slot-1] = regs[in.Args[0]]
-	default:
-		return fmt.Errorf("ir: stmt %d: cannot execute kind %s", in.ID, in.Kind)
 	}
 	return nil
 }

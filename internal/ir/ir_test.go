@@ -644,3 +644,36 @@ func TestValidateGlobalOpArities(t *testing.T) {
 		})
 	}
 }
+
+func TestValidateRejectsUnknownHeaderFields(t *testing.T) {
+	cases := []struct {
+		name string
+		in   Instr
+		want string
+	}{
+		{"loadhdr unknown", Instr{Kind: LoadHeader, Obj: "ip.nosuch", Dst: []Reg{0}}, `unknown header field "ip.nosuch"`},
+		{"storehdr unknown", Instr{Kind: StoreHeader, Obj: "tcp.bogus", Args: []Reg{0}}, `unknown header field "tcp.bogus"`},
+		{"loadhdr empty name", Instr{Kind: LoadHeader, Dst: []Reg{0}}, `unknown header field ""`},
+		{"storehdr payload pattern", Instr{Kind: StoreHeader, Obj: "SIG", Args: []Reg{0}}, `unknown header field "SIG"`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := sendProg(func(fn *Function) { fn.Blocks[0].Instrs[1] = tc.in })
+			err := p.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want substring %q", err, tc.want)
+			}
+		})
+	}
+	// Every known field validates, loaded and stored.
+	for _, name := range packet.HeaderFieldNames() {
+		b := NewBuilder("ok")
+		v := b.LoadHeader("v", name, U64)
+		b.StoreHeader(name, v)
+		b.Send()
+		b.Fn().Finalize()
+		if err := (&Program{Name: "ok", Fn: b.Fn()}).Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}

@@ -116,14 +116,14 @@ func TestQuickLpmLongestWins(t *testing.T) {
 		st.AddRoute("l", 0, 0, 999)
 		st.AddRoute("l", key, 8, hop1)
 		st.AddRoute("l", key, 24, hop2)
-		vals, ok := st.LpmFind("l", key)
+		vals, ok := st.LpmFind(p.Globals[0], key)
 		if !ok || vals[0] != hop2 {
 			return false
 		}
 		// An address sharing only the /8 gets hop1.
 		sibling := key>>24<<24 | (key+1<<16)&0x00FF0000 | key&0xFFFF
 		if sibling>>24 == key>>24 && sibling>>8 != key>>8 {
-			vals, ok = st.LpmFind("l", sibling)
+			vals, ok = st.LpmFind(p.Globals[0], sibling)
 			if !ok || vals[0] != hop1 {
 				return false
 			}
@@ -131,7 +131,7 @@ func TestQuickLpmLongestWins(t *testing.T) {
 		// A totally different /8 falls to the default.
 		other := key ^ 0xFF000000
 		if other>>24 != key>>24 {
-			vals, ok = st.LpmFind("l", other)
+			vals, ok = st.LpmFind(p.Globals[0], other)
 			if !ok || vals[0] != 999 {
 				return false
 			}

@@ -1,11 +1,15 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+
+	"gallium/internal/packet"
+)
 
 // Validate checks structural well-formedness of a program: register
-// references in range, branch targets valid, globals resolvable, operand
-// arities correct. The front end and the partitioner both validate their
-// output.
+// references in range, branch targets valid, globals and header fields
+// resolvable, operand arities correct. The front end and the partitioner
+// both validate their output.
 func (p *Program) Validate() error {
 	seen := map[string]bool{}
 	for _, g := range p.Globals {
@@ -147,6 +151,12 @@ func (p *Program) validateInstr(f *Function, in *Instr, where string) error {
 		}
 		return g, nil
 	}
+	field := func() error {
+		if _, ok := packet.LookupField(in.Obj); !ok {
+			return fmt.Errorf("ir: %s: unknown header field %q", where, in.Obj)
+		}
+		return nil
+	}
 	switch in.Kind {
 	case Const:
 		if err := needDst(1); err != nil {
@@ -164,11 +174,17 @@ func (p *Program) validateInstr(f *Function, in *Instr, where string) error {
 		}
 		return needArgs(1)
 	case LoadHeader:
+		if err := field(); err != nil {
+			return err
+		}
 		if err := needDst(1); err != nil {
 			return err
 		}
 		return needArgs(0)
 	case StoreHeader:
+		if err := field(); err != nil {
+			return err
+		}
 		if err := needDst(0); err != nil {
 			return err
 		}

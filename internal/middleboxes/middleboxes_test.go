@@ -388,8 +388,8 @@ func TestAllMiddleboxesPartitionedEquivalence(t *testing.T) {
 					t.Fatalf("pkt %d (%v): action ref=%v part=%v", i, tup, rRef.Action, tr.Action)
 				}
 				for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
-					a, _ := pktRef.GetField(f)
-					b, _ := pktPart.GetField(f)
+					fld, _ := packet.LookupField(f)
+					a, b := fld.Get(pktRef), fld.Get(pktPart)
 					if a != b {
 						t.Fatalf("pkt %d (%v): field %s ref=%d part=%d", i, tup, f, a, b)
 					}
@@ -965,8 +965,8 @@ func TestNewMiddleboxesPartitionedEquivalence(t *testing.T) {
 				}
 				for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport",
 					"ip6.saddr_lo", "ip6.daddr_lo", "tun.mode", "tun.dst", "tun.key", "tcp.mss"} {
-					a, _ := pktRef.GetField(f)
-					b, _ := pktPart.GetField(f)
+					fld, _ := packet.LookupField(f)
+					a, b := fld.Get(pktRef), fld.Get(pktPart)
 					if a != b {
 						t.Fatalf("pkt %d: field %s ref=%d part=%d", i, f, a, b)
 					}

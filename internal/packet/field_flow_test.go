@@ -241,20 +241,16 @@ func TestDispatchTuple(t *testing.T) {
 func TestHeaderFieldGuards(t *testing.T) {
 	v6 := BuildTCP6(MakeIPv6Addr(0x20010DB8<<32, 1), MakeIPv6Addr(0x20010DB8<<32, 2),
 		443, 80, TCPOptions{Flags: TCPFlagSYN, MSS: 1460})
-	get := func(p *Packet, name string) uint64 {
+	field := func(name string) Field {
 		t.Helper()
-		v, err := p.GetField(name)
-		if err != nil {
-			t.Fatal(err)
+		f, ok := LookupField(name)
+		if !ok {
+			t.Fatalf("unknown field %q", name)
 		}
-		return v
+		return f
 	}
-	set := func(p *Packet, name string, v uint64) {
-		t.Helper()
-		if err := p.SetField(name, v); err != nil {
-			t.Fatal(err)
-		}
-	}
+	get := func(p *Packet, name string) uint64 { return field(name).Get(p) }
+	set := func(p *Packet, name string, v uint64) { field(name).Set(p, v) }
 
 	if get(v6, "ip.present") != 0 || get(v6, "ip6.present") != 1 {
 		t.Fatal("presence bits wrong on a v6 packet")
@@ -317,11 +313,8 @@ func TestHeaderFieldGuards(t *testing.T) {
 		t.Fatal("l4.sport write missed UDP header")
 	}
 
-	if _, err := v6.GetField("no.such"); err == nil {
-		t.Error("GetField accepted unknown field")
-	}
-	if err := v6.SetField("no.such", 1); err == nil {
-		t.Error("SetField accepted unknown field")
+	if _, ok := LookupField("no.such"); ok {
+		t.Error("LookupField resolved an unknown field")
 	}
 	if _, ok := HeaderFieldBits("ip6.saddr_hi"); !ok {
 		t.Error("HeaderFieldBits missing ip6.saddr_hi")

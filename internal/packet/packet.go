@@ -1,9 +1,5 @@
 package packet
 
-import (
-	"fmt"
-)
-
 // Packet is the mutable, decoded representation of a frame used throughout
 // the simulator: the switch pipeline and the server runtime both read and
 // rewrite header fields on it, and Serialize produces wire bytes again.
@@ -329,143 +325,92 @@ func boolBit(b bool) uint64 {
 // middlebox programs.
 type headerFieldInfo struct {
 	bits int
-	get  func(p *Packet) uint64
-	set  func(p *Packet, v uint64)
+	// guard gates the accessors on a header's presence (see presence).
+	guard presence
+	get   func(p *Packet) uint64
+	set   func(p *Packet, v uint64)
+}
+
+// presence gates a field on its header being present, giving absent
+// headers wire semantics: reads return zero and writes are dropped,
+// exactly what a serialize/parse hop preserves. Without the guard an
+// in-memory write to e.g. tcp.window on a UDP packet would read back
+// locally but silently vanish at the first switch↔server hop, making
+// behavior depend on where the partitioner placed the access. With IPv6
+// frames first-class this matters for the ip.* fields too — a program
+// probing p.ip.ttl on a v6 packet must see the same zero on the switch
+// partition and the server partition.
+type presence uint8
+
+const (
+	always presence = iota
+	needIP
+	needIP6
+	needTCP
+	needUDP
+	// needOuter gates the tunnel fields on an outer header (and, for the
+	// GRE key, its accessor also checks GRE mode). Note for dependence
+	// analysis: every tun.* access implicitly reads the tunnel mode,
+	// because writing p.tun.mode changes whether a tun.src/dst/key access
+	// takes effect — deps.RWSets models that aliasing explicitly.
+	needOuter
+)
+
+func (g presence) ok(p *Packet) bool {
+	switch g {
+	case needIP:
+		return p.HasIP
+	case needIP6:
+		return p.HasIP6
+	case needTCP:
+		return p.HasTCP
+	case needUDP:
+		return p.HasUDP
+	case needOuter:
+		return p.HasOuter
+	}
+	return true
+}
+
+func field(bits int, g presence, get func(*Packet) uint64, set func(*Packet, uint64)) *headerFieldInfo {
+	return &headerFieldInfo{bits: bits, guard: g, get: get, set: set}
 }
 
 // headerFields is the table of packet header fields addressable from
 // MiniClick programs and compiled P4 pipelines. The names mirror the field
 // paths in the DSL (`p.ip.saddr` etc.).
-// tcpField/udpField gate an accessor pair on header presence, giving
-// absent headers wire semantics: reads return zero and writes are
-// dropped, exactly what a serialize/parse hop preserves. Without the
-// guard an in-memory write to e.g. tcp.window on a UDP packet would read
-// back locally but silently vanish at the first switch↔server hop,
-// making behavior depend on where the partitioner placed the access.
-func tcpField(get func(*Packet) uint64, set func(*Packet, uint64)) (func(*Packet) uint64, func(*Packet, uint64)) {
-	return func(p *Packet) uint64 {
-			if !p.HasTCP {
-				return 0
-			}
-			return get(p)
-		}, func(p *Packet, v uint64) {
-			if p.HasTCP {
-				set(p, v)
-			}
-		}
-}
-
-func udpField(get func(*Packet) uint64, set func(*Packet, uint64)) (func(*Packet) uint64, func(*Packet, uint64)) {
-	return func(p *Packet) uint64 {
-			if !p.HasUDP {
-				return 0
-			}
-			return get(p)
-		}, func(p *Packet, v uint64) {
-			if p.HasUDP {
-				set(p, v)
-			}
-		}
-}
-
-func guardedTCP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	g, s := tcpField(get, set)
-	return headerFieldInfo{bits, g, s}
-}
-
-func guardedUDP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	g, s := udpField(get, set)
-	return headerFieldInfo{bits, g, s}
-}
-
-// guardedIP / guardedIP6 gate accessors on the presence of the (inner)
-// IPv4 / IPv6 header, with the same wire semantics as the transport
-// guards: reads of an absent header return zero, writes are dropped. With
-// IPv6 frames first-class this matters for the ip.* fields too — a
-// program probing p.ip.ttl on a v6 packet must see the same zero on the
-// switch partition and the server partition.
-func guardedIP(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
-		func(p *Packet) uint64 {
-			if !p.HasIP {
-				return 0
-			}
-			return get(p)
-		},
-		func(p *Packet, v uint64) {
-			if p.HasIP {
-				set(p, v)
-			}
-		}}
-}
-
-func guardedIP6(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
-		func(p *Packet) uint64 {
-			if !p.HasIP6 {
-				return 0
-			}
-			return get(p)
-		},
-		func(p *Packet, v uint64) {
-			if p.HasIP6 {
-				set(p, v)
-			}
-		}}
-}
-
-// guardedTun gates the tunnel fields on an outer header being present
-// (and, for the GRE key, on GRE mode). Note for dependence analysis:
-// every tun.* access implicitly reads the tunnel mode, because writing
-// p.tun.mode changes whether a tun.src/dst/key access takes effect —
-// deps.RWSets models that aliasing explicitly.
-func guardedTun(bits int, get func(*Packet) uint64, set func(*Packet, uint64)) headerFieldInfo {
-	return headerFieldInfo{bits,
-		func(p *Packet) uint64 {
-			if !p.HasOuter {
-				return 0
-			}
-			return get(p)
-		},
-		func(p *Packet, v uint64) {
-			if p.HasOuter {
-				set(p, v)
-			}
-		}}
-}
-
-var headerFields = map[string]headerFieldInfo{
-	"ip.saddr":   guardedIP(32, func(p *Packet) uint64 { return uint64(p.IP.SrcIP) }, func(p *Packet, v uint64) { p.IP.SrcIP = IPv4Addr(v) }),
-	"ip.daddr":   guardedIP(32, func(p *Packet) uint64 { return uint64(p.IP.DstIP) }, func(p *Packet, v uint64) { p.IP.DstIP = IPv4Addr(v) }),
-	"ip.proto":   guardedIP(8, func(p *Packet) uint64 { return uint64(p.IP.Protocol) }, func(p *Packet, v uint64) { p.IP.Protocol = IPProtocol(v) }),
-	"ip.ttl":     guardedIP(8, func(p *Packet) uint64 { return uint64(p.IP.TTL) }, func(p *Packet, v uint64) { p.IP.TTL = uint8(v) }),
-	"ip.tos":     guardedIP(8, func(p *Packet) uint64 { return uint64(p.IP.TOS) }, func(p *Packet, v uint64) { p.IP.TOS = uint8(v) }),
-	"ip.len":     guardedIP(16, func(p *Packet) uint64 { return uint64(p.IP.Length) }, func(p *Packet, v uint64) { p.IP.Length = uint16(v) }),
-	"ip.id":      guardedIP(16, func(p *Packet) uint64 { return uint64(p.IP.ID) }, func(p *Packet, v uint64) { p.IP.ID = uint16(v) }),
-	"ip.present": {1, func(p *Packet) uint64 { return boolBit(p.HasIP) }, func(p *Packet, v uint64) {}},
+var headerFields = map[string]*headerFieldInfo{
+	"ip.saddr":   field(32, needIP, func(p *Packet) uint64 { return uint64(p.IP.SrcIP) }, func(p *Packet, v uint64) { p.IP.SrcIP = IPv4Addr(v) }),
+	"ip.daddr":   field(32, needIP, func(p *Packet) uint64 { return uint64(p.IP.DstIP) }, func(p *Packet, v uint64) { p.IP.DstIP = IPv4Addr(v) }),
+	"ip.proto":   field(8, needIP, func(p *Packet) uint64 { return uint64(p.IP.Protocol) }, func(p *Packet, v uint64) { p.IP.Protocol = IPProtocol(v) }),
+	"ip.ttl":     field(8, needIP, func(p *Packet) uint64 { return uint64(p.IP.TTL) }, func(p *Packet, v uint64) { p.IP.TTL = uint8(v) }),
+	"ip.tos":     field(8, needIP, func(p *Packet) uint64 { return uint64(p.IP.TOS) }, func(p *Packet, v uint64) { p.IP.TOS = uint8(v) }),
+	"ip.len":     field(16, needIP, func(p *Packet) uint64 { return uint64(p.IP.Length) }, func(p *Packet, v uint64) { p.IP.Length = uint16(v) }),
+	"ip.id":      field(16, needIP, func(p *Packet) uint64 { return uint64(p.IP.ID) }, func(p *Packet, v uint64) { p.IP.ID = uint16(v) }),
+	"ip.present": field(1, always, func(p *Packet) uint64 { return boolBit(p.HasIP) }, func(p *Packet, v uint64) {}),
 
 	// IPv6 fixed header. IR values are 64-bit, so the two 128-bit
 	// addresses are exposed as hi/lo 64-bit halves.
-	"ip6.saddr_hi": guardedIP6(64, func(p *Packet) uint64 { return p.IP6.SrcIP.Hi() },
+	"ip6.saddr_hi": field(64, needIP6, func(p *Packet) uint64 { return p.IP6.SrcIP.Hi() },
 		func(p *Packet, v uint64) { p.IP6.SrcIP = MakeIPv6Addr(v, p.IP6.SrcIP.Lo()) }),
-	"ip6.saddr_lo": guardedIP6(64, func(p *Packet) uint64 { return p.IP6.SrcIP.Lo() },
+	"ip6.saddr_lo": field(64, needIP6, func(p *Packet) uint64 { return p.IP6.SrcIP.Lo() },
 		func(p *Packet, v uint64) { p.IP6.SrcIP = MakeIPv6Addr(p.IP6.SrcIP.Hi(), v) }),
-	"ip6.daddr_hi": guardedIP6(64, func(p *Packet) uint64 { return p.IP6.DstIP.Hi() },
+	"ip6.daddr_hi": field(64, needIP6, func(p *Packet) uint64 { return p.IP6.DstIP.Hi() },
 		func(p *Packet, v uint64) { p.IP6.DstIP = MakeIPv6Addr(v, p.IP6.DstIP.Lo()) }),
-	"ip6.daddr_lo": guardedIP6(64, func(p *Packet) uint64 { return p.IP6.DstIP.Lo() },
+	"ip6.daddr_lo": field(64, needIP6, func(p *Packet) uint64 { return p.IP6.DstIP.Lo() },
 		func(p *Packet, v uint64) { p.IP6.DstIP = MakeIPv6Addr(p.IP6.DstIP.Hi(), v) }),
-	"ip6.tclass":   guardedIP6(8, func(p *Packet) uint64 { return uint64(p.IP6.TrafficClass) }, func(p *Packet, v uint64) { p.IP6.TrafficClass = uint8(v) }),
-	"ip6.flow":     guardedIP6(32, func(p *Packet) uint64 { return uint64(p.IP6.FlowLabel) }, func(p *Packet, v uint64) { p.IP6.FlowLabel = uint32(v) & 0xFFFFF }),
-	"ip6.plen":     guardedIP6(16, func(p *Packet) uint64 { return uint64(p.IP6.PayloadLen) }, func(p *Packet, v uint64) { p.IP6.PayloadLen = uint16(v) }),
-	"ip6.nexthdr":  guardedIP6(8, func(p *Packet) uint64 { return uint64(p.IP6.NextHeader) }, func(p *Packet, v uint64) { p.IP6.NextHeader = IPProtocol(v) }),
-	"ip6.hoplimit": guardedIP6(8, func(p *Packet) uint64 { return uint64(p.IP6.HopLimit) }, func(p *Packet, v uint64) { p.IP6.HopLimit = uint8(v) }),
-	"ip6.present":  {1, func(p *Packet) uint64 { return boolBit(p.HasIP6) }, func(p *Packet, v uint64) {}},
+	"ip6.tclass":   field(8, needIP6, func(p *Packet) uint64 { return uint64(p.IP6.TrafficClass) }, func(p *Packet, v uint64) { p.IP6.TrafficClass = uint8(v) }),
+	"ip6.flow":     field(32, needIP6, func(p *Packet) uint64 { return uint64(p.IP6.FlowLabel) }, func(p *Packet, v uint64) { p.IP6.FlowLabel = uint32(v) & 0xFFFFF }),
+	"ip6.plen":     field(16, needIP6, func(p *Packet) uint64 { return uint64(p.IP6.PayloadLen) }, func(p *Packet, v uint64) { p.IP6.PayloadLen = uint16(v) }),
+	"ip6.nexthdr":  field(8, needIP6, func(p *Packet) uint64 { return uint64(p.IP6.NextHeader) }, func(p *Packet, v uint64) { p.IP6.NextHeader = IPProtocol(v) }),
+	"ip6.hoplimit": field(8, needIP6, func(p *Packet) uint64 { return uint64(p.IP6.HopLimit) }, func(p *Packet, v uint64) { p.IP6.HopLimit = uint8(v) }),
+	"ip6.present":  field(1, always, func(p *Packet) uint64 { return boolBit(p.HasIP6) }, func(p *Packet, v uint64) {}),
 
 	// Tunnel encapsulation pseudo-fields. tun.mode attaches or strips the
 	// outer headers (0 = none, 1 = GRE, 2 = IP-in-IP); tun.src/tun.dst
 	// are the outer IPv4 endpoints and tun.key the GRE key, all inert
 	// while no tunnel is attached.
-	"tun.mode": {8,
+	"tun.mode": field(8, always,
 		func(p *Packet) uint64 {
 			switch {
 			case p.HasOuter && p.HasGRE:
@@ -493,10 +438,10 @@ var headerFields = map[string]headerFieldInfo{
 			default:
 				p.HasOuter, p.HasGRE = false, false
 			}
-		}},
-	"tun.src": guardedTun(32, func(p *Packet) uint64 { return uint64(p.Outer.SrcIP) }, func(p *Packet, v uint64) { p.Outer.SrcIP = IPv4Addr(v) }),
-	"tun.dst": guardedTun(32, func(p *Packet) uint64 { return uint64(p.Outer.DstIP) }, func(p *Packet, v uint64) { p.Outer.DstIP = IPv4Addr(v) }),
-	"tun.key": guardedTun(32,
+		}),
+	"tun.src": field(32, needOuter, func(p *Packet) uint64 { return uint64(p.Outer.SrcIP) }, func(p *Packet, v uint64) { p.Outer.SrcIP = IPv4Addr(v) }),
+	"tun.dst": field(32, needOuter, func(p *Packet) uint64 { return uint64(p.Outer.DstIP) }, func(p *Packet, v uint64) { p.Outer.DstIP = IPv4Addr(v) }),
+	"tun.key": field(32, needOuter,
 		func(p *Packet) uint64 {
 			if !p.HasGRE {
 				return 0
@@ -513,7 +458,7 @@ var headerFields = map[string]headerFieldInfo{
 	// eth.type is computed from the presence flags, mirroring what
 	// Serialize will emit for the network stack; writes are dropped so
 	// the field cannot drift from the real header chain.
-	"eth.type": {16,
+	"eth.type": field(16, always,
 		func(p *Packet) uint64 {
 			switch {
 			case p.HasOuter || p.HasIP:
@@ -523,18 +468,18 @@ var headerFields = map[string]headerFieldInfo{
 			}
 			return uint64(p.Eth.EtherType)
 		},
-		func(p *Packet, v uint64) {}},
-	"tcp.sport":  guardedTCP(16, func(p *Packet) uint64 { return uint64(p.TCP.SrcPort) }, func(p *Packet, v uint64) { p.TCP.SrcPort = uint16(v) }),
-	"tcp.dport":  guardedTCP(16, func(p *Packet) uint64 { return uint64(p.TCP.DstPort) }, func(p *Packet, v uint64) { p.TCP.DstPort = uint16(v) }),
-	"tcp.seq":    guardedTCP(32, func(p *Packet) uint64 { return uint64(p.TCP.Seq) }, func(p *Packet, v uint64) { p.TCP.Seq = uint32(v) }),
-	"tcp.ack":    guardedTCP(32, func(p *Packet) uint64 { return uint64(p.TCP.Ack) }, func(p *Packet, v uint64) { p.TCP.Ack = uint32(v) }),
-	"tcp.flags":  guardedTCP(8, func(p *Packet) uint64 { return uint64(p.TCP.Flags) }, func(p *Packet, v uint64) { p.TCP.Flags = uint8(v) }),
-	"tcp.window": guardedTCP(16, func(p *Packet) uint64 { return uint64(p.TCP.Window) }, func(p *Packet, v uint64) { p.TCP.Window = uint16(v) }),
+		func(p *Packet, v uint64) {}),
+	"tcp.sport":  field(16, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.SrcPort) }, func(p *Packet, v uint64) { p.TCP.SrcPort = uint16(v) }),
+	"tcp.dport":  field(16, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.DstPort) }, func(p *Packet, v uint64) { p.TCP.DstPort = uint16(v) }),
+	"tcp.seq":    field(32, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.Seq) }, func(p *Packet, v uint64) { p.TCP.Seq = uint32(v) }),
+	"tcp.ack":    field(32, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.Ack) }, func(p *Packet, v uint64) { p.TCP.Ack = uint32(v) }),
+	"tcp.flags":  field(8, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.Flags) }, func(p *Packet, v uint64) { p.TCP.Flags = uint8(v) }),
+	"tcp.window": field(16, needTCP, func(p *Packet) uint64 { return uint64(p.TCP.Window) }, func(p *Packet, v uint64) { p.TCP.Window = uint16(v) }),
 	// tcp.mss is clamp-only: it reads 0 and drops writes unless the SYN
 	// actually carries an MSS option, so a program can lower an
 	// advertised MSS but never conjure the option onto a segment that
 	// lacks it.
-	"tcp.mss": guardedTCP(16,
+	"tcp.mss": field(16, needTCP,
 		func(p *Packet) uint64 {
 			if !p.TCP.HasMSS {
 				return 0
@@ -546,14 +491,14 @@ var headerFields = map[string]headerFieldInfo{
 				p.TCP.MSS = uint16(v)
 			}
 		}),
-	"udp.sport":  guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.SrcPort) }, func(p *Packet, v uint64) { p.UDP.SrcPort = uint16(v) }),
-	"udp.dport":  guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.DstPort) }, func(p *Packet, v uint64) { p.UDP.DstPort = uint16(v) }),
-	"udp.len":    guardedUDP(16, func(p *Packet) uint64 { return uint64(p.UDP.Length) }, func(p *Packet, v uint64) { p.UDP.Length = uint16(v) }),
+	"udp.sport": field(16, needUDP, func(p *Packet) uint64 { return uint64(p.UDP.SrcPort) }, func(p *Packet, v uint64) { p.UDP.SrcPort = uint16(v) }),
+	"udp.dport": field(16, needUDP, func(p *Packet) uint64 { return uint64(p.UDP.DstPort) }, func(p *Packet, v uint64) { p.UDP.DstPort = uint16(v) }),
+	"udp.len":   field(16, needUDP, func(p *Packet) uint64 { return uint64(p.UDP.Length) }, func(p *Packet, v uint64) { p.UDP.Length = uint16(v) }),
 
 	// Unified transport ports: in P4 these are common metadata fields the
 	// parser fills from whichever L4 header is present, letting middlebox
 	// code treat TCP and UDP five-tuples uniformly.
-	"l4.sport": {16,
+	"l4.sport": field(16, always,
 		func(p *Packet) uint64 {
 			switch {
 			case p.HasUDP:
@@ -570,8 +515,8 @@ var headerFields = map[string]headerFieldInfo{
 			case p.HasTCP:
 				p.TCP.SrcPort = uint16(v)
 			}
-		}},
-	"l4.dport": {16,
+		}),
+	"l4.dport": field(16, always,
 		func(p *Packet) uint64 {
 			switch {
 			case p.HasUDP:
@@ -588,7 +533,7 @@ var headerFields = map[string]headerFieldInfo{
 			case p.HasTCP:
 				p.TCP.DstPort = uint16(v)
 			}
-		}},
+		}),
 }
 
 // HeaderFieldBits reports the width in bits of a named header field, and
@@ -610,21 +555,34 @@ func HeaderFieldNames() []string {
 	return names
 }
 
-// GetField reads a named header field from the packet.
-func (p *Packet) GetField(name string) (uint64, error) {
-	f, ok := headerFields[name]
-	if !ok {
-		return 0, fmt.Errorf("packet: unknown header field %q", name)
-	}
-	return f.get(p), nil
+// Field is a header field resolved once by name (LookupField), so the
+// per-packet read and write call the field's accessors directly instead
+// of hashing its name. The zero Field is invalid; Get and Set on it
+// panic.
+type Field struct{ info *headerFieldInfo }
+
+// LookupField resolves a header field name to its handle; ok is false
+// for an unknown name.
+func LookupField(name string) (f Field, ok bool) {
+	info, ok := headerFields[name]
+	return Field{info}, ok
 }
 
-// SetField writes a named header field on the packet.
-func (p *Packet) SetField(name string, v uint64) error {
-	f, ok := headerFields[name]
-	if !ok {
-		return fmt.Errorf("packet: unknown header field %q", name)
+// Valid reports whether the handle names a field.
+func (f Field) Valid() bool { return f.info != nil }
+
+// Get reads the field from the packet; an absent header reads zero.
+func (f Field) Get(p *Packet) uint64 {
+	if !f.info.guard.ok(p) {
+		return 0
 	}
-	f.set(p, v)
-	return nil
+	return f.info.get(p)
+}
+
+// Set writes the field on the packet; a write to an absent header is
+// dropped.
+func (f Field) Set(p *Packet, v uint64) {
+	if f.info.guard.ok(p) {
+		f.info.set(p, v)
+	}
 }

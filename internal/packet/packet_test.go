@@ -440,22 +440,21 @@ func TestHeaderFieldAccessors(t *testing.T) {
 		"ip.proto":  uint64(IPProtocolTCP),
 		"tcp.sport": 1000, "tcp.dport": 2000,
 	} {
-		got, err := p.GetField(name)
-		if err != nil {
-			t.Fatal(err)
+		f, ok := LookupField(name)
+		if !ok {
+			t.Fatalf("%s missing from field table", name)
 		}
-		if got != want {
+		if got := f.Get(p); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if err := p.SetField("ip.daddr", uint64(MakeIPv4Addr(1, 1, 1, 1))); err != nil {
-		t.Fatal(err)
-	}
+	daddr, _ := LookupField("ip.daddr")
+	daddr.Set(p, uint64(MakeIPv4Addr(1, 1, 1, 1)))
 	if p.IP.DstIP != MakeIPv4Addr(1, 1, 1, 1) {
-		t.Error("SetField did not apply")
+		t.Error("Set did not apply")
 	}
-	if _, err := p.GetField("nosuch.field"); err == nil {
-		t.Error("want error for unknown field")
+	if f, ok := LookupField("nosuch.field"); ok || f.Valid() {
+		t.Error("LookupField resolved an unknown field")
 	}
 	if _, ok := HeaderFieldBits("tcp.seq"); !ok {
 		t.Error("tcp.seq missing from field table")

@@ -201,8 +201,8 @@ func assertFuzzEquivalent(t *testing.T, p *ir.Program, res *Result, seed int64) 
 			t.Fatalf("seed %d pkt %d: action ref=%v part=%v", seed, i, rRef.Action, tr.Action)
 		}
 		if rRef.Action == ir.ActionSent {
-			a, _ := pktRef.GetField("ip.saddr")
-			b, _ := pktPart.GetField("ip.saddr")
+			fld, _ := packet.LookupField("ip.saddr")
+			a, b := fld.Get(pktRef), fld.Get(pktPart)
 			if a != b {
 				t.Fatalf("seed %d pkt %d: saddr mismatch", seed, i)
 			}

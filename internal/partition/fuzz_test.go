@@ -417,8 +417,8 @@ func TestFuzzPartitionEquivalence(t *testing.T) {
 			// partition may legitimately never execute.
 			if rRef.Action == ir.ActionSent {
 				for _, f := range []string{"ip.saddr", "ip.daddr", "ip.ttl", "tcp.sport", "tcp.dport", "tcp.flags"} {
-					a, _ := pktRef.GetField(f)
-					b, _ := pktPart.GetField(f)
+					fld, _ := packet.LookupField(f)
+					a, b := fld.Get(pktRef), fld.Get(pktPart)
 					if a != b {
 						t.Fatalf("seed %d pkt %d: field %s ref=%d part=%d\n%s", seed, i, f, a, b, p.String())
 					}

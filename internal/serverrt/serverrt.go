@@ -38,10 +38,15 @@ type Server struct {
 	Res   *partition.Result
 	State *ir.State
 
-	replicated map[string]bool
-	// cached marks tables running in §7 cache mode: authoritative hits
-	// are republished to the switch as read-through fills.
-	cached map[string]bool
+	// replicated marks offloaded globals, by ir.Global.ID.
+	replicated []bool
+	// cached marks tables running in §7 cache mode, by ID: authoritative
+	// hits are republished to the switch as read-through fills.
+	cached []bool
+
+	// srv and full are the server partition and the whole program (the
+	// §7 punt path), compiled once at construction.
+	srv, full *ir.Compiled
 
 	// Reusable per-packet scratch (single-goroutine use).
 	rec  recorder
@@ -53,8 +58,8 @@ type Server struct {
 
 	reg *obs.Registry
 	c   serverCounters
-	// fills tracks per-cached-table read-through fills.
-	fills map[string]*obs.Counter
+	// fills tracks per-cached-table read-through fills, by global ID.
+	fills []*obs.Counter
 }
 
 // xferField pairs a transfer variable's scratchpad slot with its
@@ -101,26 +106,31 @@ func (s *Server) Instrument(reg *obs.Registry) {
 		cacheMisses:  reg.Counter("server.cache.misses"),
 		cacheFills:   reg.Counter("server.cache.fills"),
 	}
-	s.fills = make(map[string]*obs.Counter, len(s.cached))
-	for name := range s.cached {
-		s.fills[name] = reg.Counter("server.cache." + name + ".fills")
+	s.fills = make([]*obs.Counter, len(s.cached))
+	for id, cached := range s.cached {
+		if cached {
+			s.fills[id] = reg.Counter("server.cache." + s.Res.Prog.Globals[id].Name + ".fills")
+		}
 	}
 }
 
 // New builds a server for a partitioned middlebox with fresh state.
 func New(res *partition.Result) *Server {
+	res.Prog.NumberGlobals()
 	s := &Server{
 		Res:        res,
 		State:      ir.NewState(res.Prog),
-		replicated: map[string]bool{},
-		cached:     map[string]bool{},
+		replicated: make([]bool, len(res.Prog.Globals)),
+		cached:     make([]bool, len(res.Prog.Globals)),
+		srv:        ir.CompileFunc(res.Prog, res.SrvFn),
+		full:       ir.CompileFunc(res.Prog, res.Prog.Fn),
 	}
 	for _, gn := range res.OffloadedGlobals {
-		s.replicated[gn] = true
 		g := res.Prog.Global(gn)
+		s.replicated[g.ID] = true
 		if g.Kind == ir.KindMap {
 			if cap := res.Cons.CacheFor(gn); cap > 0 && cap < g.MaxEntries {
-				s.cached[gn] = true
+				s.cached[g.ID] = true
 			}
 		}
 	}
@@ -138,9 +148,12 @@ type recorder struct {
 	updates []switchsim.Update
 }
 
-func (r *recorder) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
-	vals, ok := r.srv.State.MapFind(name, key)
-	if r.srv.reg != nil && r.srv.cached[name] {
+func (r *recorder) MapFind(g *ir.Global, key ir.MapKey) ([]uint64, bool) {
+	vals, ok := r.srv.State.MapFind(g, key)
+	if !r.srv.cached[g.ID] {
+		return vals, ok
+	}
+	if r.srv.reg != nil {
 		r.srv.c.cacheLookups.Inc()
 		if ok {
 			r.srv.c.cacheHits.Inc()
@@ -148,51 +161,51 @@ func (r *recorder) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
 			r.srv.c.cacheMisses.Inc()
 		}
 	}
-	if ok && r.srv.cached[name] {
+	if ok {
 		// Read-through fill (§7 cache mode): republish the entry so the
 		// switch cache can serve the next packets of this flow.
 		r.updates = append(r.updates, switchsim.Update{
-			Table: name, Key: key, Vals: append([]uint64(nil), vals...), ReadFill: true,
+			Table: g.Name, Key: key, Vals: append([]uint64(nil), vals...), ReadFill: true,
 		})
 		if r.srv.reg != nil {
 			r.srv.c.cacheFills.Inc()
-			r.srv.fills[name].Inc()
+			r.srv.fills[g.ID].Inc()
 		}
 	}
 	return vals, ok
 }
 
-func (r *recorder) MapInsert(name string, key ir.MapKey, vals []uint64) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Table: name, Key: key, Vals: append([]uint64(nil), vals...)})
+func (r *recorder) MapInsert(g *ir.Global, key ir.MapKey, vals []uint64) error {
+	if r.srv.replicated[g.ID] {
+		r.updates = append(r.updates, switchsim.Update{Table: g.Name, Key: key, Vals: append([]uint64(nil), vals...)})
 	}
-	return r.srv.State.MapInsert(name, key, vals)
+	return r.srv.State.MapInsert(g, key, vals)
 }
 
-func (r *recorder) MapRemove(name string, key ir.MapKey) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Table: name, Key: key, Delete: true})
+func (r *recorder) MapRemove(g *ir.Global, key ir.MapKey) error {
+	if r.srv.replicated[g.ID] {
+		r.updates = append(r.updates, switchsim.Update{Table: g.Name, Key: key, Delete: true})
 	}
-	return r.srv.State.MapRemove(name, key)
+	return r.srv.State.MapRemove(g, key)
 }
 
-func (r *recorder) VecGet(name string, idx uint64) (uint64, error) {
-	return r.srv.State.VecGet(name, idx)
+func (r *recorder) VecGet(g *ir.Global, idx uint64) (uint64, error) {
+	return r.srv.State.VecGet(g, idx)
 }
 
-func (r *recorder) VecLen(name string) uint64 { return r.srv.State.VecLen(name) }
+func (r *recorder) VecLen(g *ir.Global) uint64 { return r.srv.State.VecLen(g) }
 
-func (r *recorder) GlobalLoad(name string) uint64 { return r.srv.State.GlobalLoad(name) }
+func (r *recorder) GlobalLoad(g *ir.Global) uint64 { return r.srv.State.GlobalLoad(g) }
 
-func (r *recorder) LpmFind(name string, key uint64) ([]uint64, bool) {
-	return r.srv.State.LpmFind(name, key)
+func (r *recorder) LpmFind(g *ir.Global, key uint64) ([]uint64, bool) {
+	return r.srv.State.LpmFind(g, key)
 }
 
-func (r *recorder) GlobalStore(name string, v uint64) error {
-	if r.srv.replicated[name] {
-		r.updates = append(r.updates, switchsim.Update{Register: name, RegVal: v})
+func (r *recorder) GlobalStore(g *ir.Global, v uint64) error {
+	if r.srv.replicated[g.ID] {
+		r.updates = append(r.updates, switchsim.Update{Register: g.Name, RegVal: v})
 	}
-	return r.srv.State.GlobalStore(name, v)
+	return r.srv.State.GlobalStore(g, v)
 }
 
 // SetClock sets the virtual time and traffic class stamped onto
@@ -223,7 +236,7 @@ func (s *Server) Process(pkt *packet.Packet) (Result, error) {
 	pkt.StripGallium()
 
 	env := s.scratchEnv(pkt, xfer)
-	r, err := ir.ExecFunc(s.Res.Prog, s.Res.SrvFn, env)
+	r, err := s.srv.Run(env)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: %w", err)
 	}
@@ -282,7 +295,7 @@ func (s *Server) ProcessFull(pkt *packet.Packet) (Result, error) {
 		return Result{}, fmt.Errorf("serverrt: punted packet unexpectedly carries a gallium header")
 	}
 	env := s.scratchEnv(pkt, nil)
-	r, err := ir.ExecFunc(s.Res.Prog, s.Res.Prog.Fn, env)
+	r, err := s.full.Run(env)
 	if err != nil {
 		return Result{}, fmt.Errorf("serverrt: full program: %w", err)
 	}

@@ -92,8 +92,8 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				}
 				if tr.Action == ir.ActionSent {
 					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
-						a, _ := pktRef.GetField(f)
-						b, _ := pktDep.GetField(f)
+						fld, _ := packet.LookupField(f)
+						a, b := fld.Get(pktRef), fld.Get(pktDep)
 						if a != b {
 							t.Fatalf("pkt %d (%v): %s ref=%d dep=%d", i, tup, f, a, b)
 						}

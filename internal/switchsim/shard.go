@@ -51,8 +51,9 @@ import (
 type ctlLane struct {
 	_  [64]byte
 	mu sync.Mutex
-	// pending holds staged-but-invisible updates (drainer-side, under mu).
-	pending map[string]*laneTable
+	// pending holds staged-but-invisible updates by global ID
+	// (drainer-side, under mu); nil until the lane first stages.
+	pending []*laneTable
 	// view is the published, immutable overlay the shard's data-plane
 	// lookups consult before the global snapshot.
 	view atomic.Pointer[laneOverlay]
@@ -73,9 +74,10 @@ type laneStats struct {
 }
 
 // laneOverlay is one lane's published view: immutable once stored, like
-// the global snapshot.
+// the global snapshot. tables is indexed by global ID (nil where the
+// lane holds nothing for a table).
 type laneOverlay struct {
-	tables map[string]*laneTable
+	tables []*laneTable
 }
 
 // laneTable is one table's lane-resident overlay: staged inserts plus
@@ -92,12 +94,12 @@ func newLaneTable() *laneTable {
 
 // lookup resolves a key against the lane overlay: a staged deletion
 // shadows the global view; a staged insert hits.
-func (ov *laneOverlay) lookup(table string, key ir.MapKey) (vals []uint64, hit, deleted bool) {
+func (ov *laneOverlay) lookup(id int, key ir.MapKey) (vals []uint64, hit, deleted bool) {
 	if ov == nil {
 		return nil, false, false
 	}
-	lt, ok := ov.tables[table]
-	if !ok {
+	lt := ov.tables[id]
+	if lt == nil {
 		return nil, false, false
 	}
 	if lt.del[key] {
@@ -108,12 +110,12 @@ func (ov *laneOverlay) lookup(table string, key ir.MapKey) (vals []uint64, hit, 
 }
 
 // size reports the overlay's entry count for one table.
-func (ov *laneOverlay) size(table string) int {
+func (ov *laneOverlay) size(id int) int {
 	if ov == nil {
 		return 0
 	}
-	lt, ok := ov.tables[table]
-	if !ok {
+	lt := ov.tables[id]
+	if lt == nil {
 		return 0
 	}
 	return len(lt.wb) + len(lt.del)
@@ -157,11 +159,11 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 	if shard < 0 || shard >= len(sw.lanes) {
 		return fmt.Errorf("switchsim: shard %d out of range (%d lanes)", shard, len(sw.lanes))
 	}
-	snap := sw.snap.Load()
-	st, ok := snap.tables[u.Table]
+	g, ok := sw.global(u.Table, ir.KindMap)
 	if !ok {
 		return fmt.Errorf("switchsim: table %q not resident", u.Table)
 	}
+	st := sw.snap.Load().tables[g.ID]
 	ln := sw.lanes[shard]
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
@@ -169,12 +171,12 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 	sw.c.ctlOps.Inc()
 	sw.c.ctlStaged.Inc()
 	if ln.pending == nil {
-		ln.pending = map[string]*laneTable{}
+		ln.pending = make([]*laneTable, len(sw.tables))
 	}
-	lt, ok := ln.pending[u.Table]
-	if !ok {
+	lt := ln.pending[g.ID]
+	if lt == nil {
 		lt = newLaneTable()
-		ln.pending[u.Table] = lt
+		ln.pending[g.ID] = lt
 	}
 	if u.Delete {
 		if u.Expire {
@@ -189,8 +191,8 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 		// Approximate cross-lane capacity: global visible size plus this
 		// lane's resident entries. See the package comment for the bound.
 		occupied := len(st.main) + len(st.wb) +
-			ln.view.Load().size(u.Table) + len(lt.wb)
-		if occupied >= st.capacity && !sw.keyAdmitted(ln, lt, st, u.Table, u.Key) {
+			ln.view.Load().size(g.ID) + len(lt.wb)
+		if occupied >= st.capacity && !sw.keyAdmitted(ln, lt, st, g.ID, u.Key) {
 			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, st.capacity)
 		}
 	}
@@ -202,11 +204,11 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 // keyAdmitted reports whether key is already resident somewhere this
 // lane can see (so overwriting it cannot grow the table). Callers hold
 // ln.mu.
-func (sw *Switch) keyAdmitted(ln *ctlLane, pending *laneTable, st *snapTable, table string, key ir.MapKey) bool {
+func (sw *Switch) keyAdmitted(ln *ctlLane, pending *laneTable, st *snapTable, id int, key ir.MapKey) bool {
 	if _, ok := pending.wb[key]; ok {
 		return true
 	}
-	if _, hit, _ := ln.view.Load().lookup(table, key); hit {
+	if _, hit, _ := ln.view.Load().lookup(id, key); hit {
 		return true
 	}
 	_, hit, _ := st.lookup(key)
@@ -231,9 +233,12 @@ func (sw *Switch) FlipShard(shard int) {
 	sw.c.ctlFlips.Inc()
 	sw.c.ctlOps.Inc()
 	old := ln.view.Load()
-	nv := &laneOverlay{tables: map[string]*laneTable{}}
+	nv := &laneOverlay{tables: make([]*laneTable, len(sw.tables))}
 	if old != nil {
-		for name, lt := range old.tables {
+		for id, lt := range old.tables {
+			if lt == nil {
+				continue
+			}
 			c := newLaneTable()
 			for k, v := range lt.wb {
 				c.wb[k] = v
@@ -241,14 +246,17 @@ func (sw *Switch) FlipShard(shard int) {
 			for k := range lt.del {
 				c.del[k] = true
 			}
-			nv.tables[name] = c
+			nv.tables[id] = c
 		}
 	}
-	for name, pend := range ln.pending {
-		c, ok := nv.tables[name]
-		if !ok {
+	for id, pend := range ln.pending {
+		if pend == nil {
+			continue
+		}
+		c := nv.tables[id]
+		if c == nil {
 			c = newLaneTable()
-			nv.tables[name] = c
+			nv.tables[id] = c
 		}
 		for k, v := range pend.wb {
 			c.wb[k] = v
@@ -280,12 +288,12 @@ func (sw *Switch) CompactShard(shard int) {
 	}
 	snap := sw.snap.Load()
 	need := false
-	for name := range ov.tables {
-		st, ok := snap.tables[name]
-		if !ok {
+	for id := range ov.tables {
+		st := snap.tables[id]
+		if st == nil {
 			continue
 		}
-		if ov.size(name) >= mergeThreshold(len(st.main)) {
+		if ov.size(id) >= mergeThreshold(len(st.main)) {
 			need = true
 			break
 		}
@@ -330,25 +338,25 @@ func (sw *Switch) FoldShards() {
 // main tables. Callers hold sw.mu and ln.mu and publish afterwards.
 func (sw *Switch) foldLaneLocked(ln *ctlLane) bool {
 	changed := false
-	apply := func(name string, lt *laneTable) {
-		if len(lt.wb) == 0 && len(lt.del) == 0 {
+	apply := func(id int, lt *laneTable) {
+		if lt == nil || (len(lt.wb) == 0 && len(lt.del) == 0) {
 			return
 		}
-		t, ok := sw.tables[name]
-		if !ok {
+		t := sw.tables[id]
+		if t == nil {
 			return
 		}
 		changed = true
 		sw.foldIntoMainLocked(t, lt.wb, lt.del)
 	}
 	if ov := ln.view.Load(); ov != nil {
-		for name, lt := range ov.tables {
-			apply(name, lt)
+		for id, lt := range ov.tables {
+			apply(id, lt)
 		}
 		ln.view.Store(nil)
 	}
-	for name, lt := range ln.pending {
-		apply(name, lt)
+	for id, lt := range ln.pending {
+		apply(id, lt)
 	}
 	ln.pending = nil
 	return changed
@@ -359,16 +367,16 @@ func (sw *Switch) foldLaneLocked(ln *ctlLane) bool {
 // deterministically (first lane wins — lanes are consulted per shard,
 // so a cross-lane duplicate is already a program without flow affinity).
 // Callers hold sw.mu (any mode).
-func (sw *Switch) laneTableEntries(name string, t *Table) int {
+func (sw *Switch) laneTableEntries(id int, t *Table) int {
 	add := 0
 	var seen map[ir.MapKey]bool
 	for _, ln := range sw.lanes {
 		ln.mu.Lock()
-		for _, src := range []map[string]*laneTable{ln.pending, viewTables(ln.view.Load())} {
-			lt, ok := src[name]
-			if !ok {
+		for _, src := range [][]*laneTable{ln.pending, viewTables(ln.view.Load())} {
+			if src == nil || src[id] == nil {
 				continue
 			}
+			lt := src[id]
 			for k := range lt.wb {
 				if seen[k] {
 					continue
@@ -399,8 +407,8 @@ func (sw *Switch) laneTableEntries(name string, t *Table) int {
 	return add
 }
 
-// viewTables unwraps an overlay's table map (nil-safe).
-func viewTables(ov *laneOverlay) map[string]*laneTable {
+// viewTables unwraps an overlay's tables (nil-safe).
+func viewTables(ov *laneOverlay) []*laneTable {
 	if ov == nil {
 		return nil
 	}

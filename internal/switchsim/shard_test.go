@@ -11,7 +11,8 @@ import (
 // the lookup the data plane performs (ProcessPreShard) before falling
 // back to the global snapshot.
 func laneView(sw *Switch, shard int, table string, key ir.MapKey) (hit, deleted bool) {
-	_, hit, deleted = sw.laneAt(shard).view.Load().lookup(table, key)
+	g, _ := sw.global(table, ir.KindMap)
+	_, hit, deleted = sw.laneAt(shard).view.Load().lookup(g.ID, key)
 	return hit, deleted
 }
 

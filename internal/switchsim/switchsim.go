@@ -13,6 +13,7 @@ package switchsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -140,15 +141,15 @@ type Update struct {
 // Stats counts data-plane and control-plane activity. It is a
 // point-in-time snapshot; the live counters are atomics inside Switch.
 type Stats struct {
-	PrePackets   int
-	PostPackets  int
-	FastPath     int
-	ToServer     int
-	Punts        int
-	Evictions    int
-	Drops        int
-	CtlOps       int
-	CtlFlips     int
+	PrePackets  int
+	PostPackets int
+	FastPath    int
+	ToServer    int
+	Punts       int
+	Evictions   int
+	Drops       int
+	CtlOps      int
+	CtlFlips    int
 	// Expired counts staged deletions marked as lifecycle expirations
 	// (flow-table timeouts and capacity evictions).
 	Expired int
@@ -195,16 +196,27 @@ type Switch struct {
 	// snap is the published immutable data-plane view.
 	snap atomic.Pointer[snapshot]
 
-	tables    map[string]*Table
-	registers map[string]uint64
+	// pre and post are the switch partitions compiled once at load time.
+	pre, post *ir.Compiled
+
+	// Per-global state is indexed by ir.Global.ID, so the data plane
+	// reaches a table, register, vector or LPM table without hashing its
+	// name. offloaded maps the name-keyed control-plane API onto those
+	// IDs; it and resident are immutable after New.
+	offloaded map[string]*ir.Global
+	resident  []bool
+
+	// tables holds offloaded maps (nil for every other global).
+	tables    []*Table
+	registers []uint64
 	// vecs holds offloaded vector contents (index-keyed tables + length).
-	vecs map[string][]uint64
+	vecs [][]uint64
 	// lpms holds offloaded LPM tables (control-plane installed, §7).
-	lpms map[string][]ir.LpmEntry
+	lpms [][]ir.LpmEntry
 	// stagedRegs are register updates awaiting the visibility flip.
-	stagedRegs []Update
+	stagedRegs []regWrite
 	// stagedVecs are vector replacements awaiting the visibility flip.
-	stagedVecs map[string][]uint64
+	stagedVecs map[int][]uint64
 	// epoch counts snapshot publications (the §4.3.3 flip plus every other
 	// control-plane publish); exposed to the control plane so it can tell
 	// whether its reconfiguration has reached the data plane.
@@ -241,16 +253,25 @@ type xferField struct {
 	spec packet.FieldSpec
 }
 
+// regWrite is one staged register value, by global ID.
+type regWrite struct {
+	id  int
+	val uint64
+}
+
 // snapshot is the immutable data-plane view of switch state, published
 // via an atomic pointer (RCU-style). Readers load it once per pass and
 // never lock; publishers build a new snapshot under mu and store it. All
 // maps and slices reachable from a published snapshot are immutable —
 // the control plane replaces them wholesale instead of writing in place.
 type snapshot struct {
-	tables    map[string]*snapTable
-	registers map[string]uint64
-	vecs      map[string][]uint64
-	lpms      map[string][]ir.LpmEntry
+	// Indexed by ir.Global.ID, like the authoritative state.
+	tables    []*snapTable
+	registers []uint64
+	vecs      [][]uint64
+	lpms      [][]ir.LpmEntry
+	// resident is the switch's (immutable) offload mask.
+	resident []bool
 
 	// Data-plane observability handles travel with the snapshot so
 	// Instrument (a control-plane write) is an ordinary publication.
@@ -293,15 +314,19 @@ func (t *snapTable) lookup(key ir.MapKey) ([]uint64, bool, bool) {
 // copied so later staging can't race a reader.
 func (sw *Switch) publishLocked() {
 	snap := &snapshot{
-		tables:    make(map[string]*snapTable, len(sw.tables)),
-		registers: make(map[string]uint64, len(sw.registers)),
-		vecs:      make(map[string][]uint64, len(sw.vecs)),
-		lpms:      make(map[string][]ir.LpmEntry, len(sw.lpms)),
+		tables:    make([]*snapTable, len(sw.tables)),
+		registers: slices.Clone(sw.registers),
+		vecs:      slices.Clone(sw.vecs),
+		lpms:      slices.Clone(sw.lpms),
+		resident:  sw.resident,
 		c:         sw.c,
 		hPre:      sw.hPre,
 		hPost:     sw.hPost,
 	}
-	for n, t := range sw.tables {
+	for id, t := range sw.tables {
+		if t == nil {
+			continue
+		}
 		st := &snapTable{main: t.Main, cached: t.Cached, capacity: t.Capacity, obs: t.obs}
 		if t.UseWB {
 			st.useWB = true
@@ -314,16 +339,7 @@ func (sw *Switch) publishLocked() {
 				st.deleted[k] = true
 			}
 		}
-		snap.tables[n] = st
-	}
-	for n, v := range sw.registers {
-		snap.registers[n] = v
-	}
-	for n, v := range sw.vecs {
-		snap.vecs[n] = v
-	}
-	for n, v := range sw.lpms {
-		snap.lpms[n] = v
+		snap.tables[id] = st
 	}
 	sw.snap.Store(snap)
 	sw.gEpoch.Set(int64(sw.epoch.Add(1)))
@@ -354,24 +370,27 @@ func (sw *Switch) Instrument(reg *obs.Registry) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.c = switchCounters{
-		pre:       reg.Counter("switch.pre.packets"),
-		post:      reg.Counter("switch.post.packets"),
-		fast:      reg.Counter("switch.fastpath"),
-		toServer:  reg.Counter("switch.to_server"),
-		punts:     reg.Counter("switch.punts"),
-		drops:     reg.Counter("switch.drops"),
-		evict:     reg.Counter("switch.evictions"),
-		ctlOps:        reg.Counter("switch.ctl.ops"),
-		ctlFlips:      reg.Counter("switch.ctl.flips"),
-		ctlStaged:     reg.Counter("switch.ctl.staged"),
-		ctlReconfigs:  reg.Counter("switch.ctl.reconfigs"),
-		expired:       reg.Counter("switch.expired"),
+		pre:          reg.Counter("switch.pre.packets"),
+		post:         reg.Counter("switch.post.packets"),
+		fast:         reg.Counter("switch.fastpath"),
+		toServer:     reg.Counter("switch.to_server"),
+		punts:        reg.Counter("switch.punts"),
+		drops:        reg.Counter("switch.drops"),
+		evict:        reg.Counter("switch.evictions"),
+		ctlOps:       reg.Counter("switch.ctl.ops"),
+		ctlFlips:     reg.Counter("switch.ctl.flips"),
+		ctlStaged:    reg.Counter("switch.ctl.staged"),
+		ctlReconfigs: reg.Counter("switch.ctl.reconfigs"),
+		expired:      reg.Counter("switch.expired"),
 	}
 	sw.hPre = reg.Histogram("switch.pre.steps", obs.StepBuckets)
 	sw.hPost = reg.Histogram("switch.post.steps", obs.StepBuckets)
 	sw.gEpoch = reg.Gauge("switch.snapshot.epoch")
-	for name, t := range sw.tables {
-		prefix := "switch.table." + name + "."
+	for id, t := range sw.tables {
+		if t == nil {
+			continue
+		}
+		prefix := "switch.table." + sw.Res.Prog.Globals[id].Name + "."
 		m := &tableObs{
 			lookups: reg.Counter(prefix + "lookups"),
 			hits:    reg.Counter(prefix + "hits"),
@@ -391,39 +410,50 @@ func (sw *Switch) TraceHop(h *obs.Hop) { sw.hop = h }
 
 // New loads a partitioned middlebox onto a fresh switch.
 func New(res *partition.Result) *Switch {
+	res.Prog.NumberGlobals()
+	n := len(res.Prog.Globals)
 	sw := &Switch{
 		Res:        res,
-		tables:     map[string]*Table{},
-		registers:  map[string]uint64{},
-		vecs:       map[string][]uint64{},
-		lpms:       map[string][]ir.LpmEntry{},
-		stagedVecs: map[string][]uint64{},
+		offloaded:  make(map[string]*ir.Global, len(res.OffloadedGlobals)),
+		resident:   make([]bool, n),
+		tables:     make([]*Table, n),
+		registers:  make([]uint64, n),
+		vecs:       make([][]uint64, n),
+		lpms:       make([][]ir.LpmEntry, n),
+		stagedVecs: map[int][]uint64{},
 	}
 	for _, gn := range res.OffloadedGlobals {
 		g := res.Prog.Global(gn)
-		switch g.Kind {
-		case ir.KindMap:
-			if cap := res.Cons.CacheFor(gn); cap > 0 && cap < g.MaxEntries {
-				t := newTable(cap)
-				t.Cached = true
-				sw.tables[gn] = t
-				sw.hasCacheTables = true
-			} else {
-				sw.tables[gn] = newTable(g.MaxEntries)
-			}
-		case ir.KindVec:
-			sw.vecs[gn] = nil
-		case ir.KindScalar:
-			sw.registers[gn] = 0
-		case ir.KindLPM:
-			sw.lpms[gn] = nil
+		sw.offloaded[gn] = g
+		sw.resident[g.ID] = true
+		if g.Kind != ir.KindMap {
+			continue
+		}
+		if cap := res.Cons.CacheFor(gn); cap > 0 && cap < g.MaxEntries {
+			t := newTable(cap)
+			t.Cached = true
+			sw.tables[g.ID] = t
+			sw.hasCacheTables = true
+		} else {
+			sw.tables[g.ID] = newTable(g.MaxEntries)
 		}
 	}
+	sw.pre = ir.CompileFunc(res.Prog, res.PreFn)
+	sw.post = ir.CompileFunc(res.Prog, res.PostFn)
 	sw.xferA = compileXferFields(res.TransferA, res.FormatA)
 	sw.xferB = compileXferFields(res.TransferB, res.FormatB)
 	sw.lanes = []*ctlLane{{}}
 	sw.publishLocked()
 	return sw
+}
+
+// global resolves an offloaded global of kind k by name (control plane).
+func (sw *Switch) global(name string, k ir.GlobalKind) (*ir.Global, bool) {
+	g, ok := sw.offloaded[name]
+	if !ok || g.Kind != k {
+		return nil, false
+	}
+	return g, true
 }
 
 // compileXferFields resolves each transfer variable to its scratchpad slot
@@ -483,14 +513,14 @@ func (sw *Switch) SeedFrom(st *ir.State) error {
 func (sw *Switch) LoadLPM(name string, entries []ir.LpmEntry) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if _, ok := sw.lpms[name]; !ok {
+	g, ok := sw.global(name, ir.KindLPM)
+	if !ok {
 		return fmt.Errorf("switchsim: lpm table %q is not offloaded", name)
 	}
-	g := sw.Res.Prog.Global(name)
-	if g != nil && g.MaxEntries > 0 && len(entries) > g.MaxEntries {
+	if g.MaxEntries > 0 && len(entries) > g.MaxEntries {
 		return fmt.Errorf("switchsim: lpm %q: %d entries exceed annotation %d", name, len(entries), g.MaxEntries)
 	}
-	sw.lpms[name] = append([]ir.LpmEntry(nil), entries...)
+	sw.lpms[g.ID] = append([]ir.LpmEntry(nil), entries...)
 	sw.publishLocked()
 	return nil
 }
@@ -531,8 +561,10 @@ func (sw *Switch) Stats() Stats {
 		s.Expired += int(ls.expired.Load())
 		s.StepsTotal += int(ls.stepsTotal.Load())
 	}
-	for n, t := range sw.tables {
-		s.TableEntries[n] = t.Len() + sw.laneTableEntries(n, t)
+	for id, t := range sw.tables {
+		if t != nil {
+			s.TableEntries[sw.Res.Prog.Globals[id].Name] = t.Len() + sw.laneTableEntries(id, t)
+		}
 	}
 	return s
 }
@@ -543,8 +575,11 @@ func (sw *Switch) Stats() Stats {
 func (sw *Switch) Table(name string) (*Table, bool) {
 	sw.mu.RLock()
 	defer sw.mu.RUnlock()
-	t, ok := sw.tables[name]
-	return t, ok
+	g, ok := sw.global(name, ir.KindMap)
+	if !ok {
+		return nil, false
+	}
+	return sw.tables[g.ID], true
 }
 
 // VisibleEntry reports whether the named table currently serves key on the
@@ -552,18 +587,22 @@ func (sw *Switch) Table(name string) (*Table, bool) {
 // published snapshot — exactly what in-flight packets see — so the control
 // plane can classify updates while worker goroutines keep processing.
 func (sw *Switch) VisibleEntry(table string, key ir.MapKey) (visible, cached bool) {
-	t, ok := sw.snap.Load().tables[table]
+	g, ok := sw.global(table, ir.KindMap)
 	if !ok {
 		return false, false
 	}
+	t := sw.snap.Load().tables[g.ID]
 	_, visible, _ = t.lookup(key)
 	return visible, t.cached
 }
 
 // Register reads a switch register (the data plane's published value).
 func (sw *Switch) Register(name string) (uint64, bool) {
-	v, ok := sw.snap.Load().registers[name]
-	return v, ok
+	g, ok := sw.global(name, ir.KindScalar)
+	if !ok {
+		return 0, false
+	}
+	return sw.snap.Load().registers[g.ID], true
 }
 
 // LoadVector installs offloaded vector contents (switch-resident
@@ -571,14 +610,14 @@ func (sw *Switch) Register(name string) (uint64, bool) {
 func (sw *Switch) LoadVector(name string, vals []uint64) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	if _, ok := sw.vecs[name]; !ok {
+	g, ok := sw.global(name, ir.KindVec)
+	if !ok {
 		return fmt.Errorf("switchsim: vector %q is not offloaded", name)
 	}
-	g := sw.Res.Prog.Global(name)
-	if g != nil && g.MaxEntries > 0 && len(vals) > g.MaxEntries {
+	if g.MaxEntries > 0 && len(vals) > g.MaxEntries {
 		return fmt.Errorf("switchsim: vector %q: %d entries exceed annotation %d", name, len(vals), g.MaxEntries)
 	}
-	sw.vecs[name] = append([]uint64(nil), vals...)
+	sw.vecs[g.ID] = append([]uint64(nil), vals...)
 	sw.publishLocked()
 	return nil
 }
@@ -604,19 +643,19 @@ type access struct {
 	onTouch func(table string, key ir.MapKey)
 }
 
-func (a *access) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
-	t, ok := a.snap.tables[name]
-	if !ok {
+func (a *access) MapFind(g *ir.Global, key ir.MapKey) ([]uint64, bool) {
+	t := a.snap.tables[g.ID]
+	if t == nil {
 		return nil, false
 	}
 	vals, hit, fromWB := t.lookup(key)
 	if a.lane != nil {
-		if lv, lhit, ldel := a.lane.lookup(name, key); lhit || ldel {
+		if lv, lhit, ldel := a.lane.lookup(g.ID, key); lhit || ldel {
 			vals, hit, fromWB = lv, lhit, lhit
 		}
 	}
 	if hit && a.onTouch != nil {
-		a.onTouch(name, key)
+		a.onTouch(g.Name, key)
 	}
 	if m := t.obs; m != nil {
 		m.lookups.Inc()
@@ -629,50 +668,42 @@ func (a *access) MapFind(name string, key ir.MapKey) ([]uint64, bool) {
 			m.misses.Inc()
 		}
 	}
-	a.hop.Lookup(name, hit)
+	a.hop.Lookup(g.Name, hit)
 	if !hit && t.cached {
 		a.cacheMiss = true
 	}
 	return vals, hit
 }
 
-func (a *access) MapInsert(string, ir.MapKey, []uint64) error {
+func (a *access) MapInsert(*ir.Global, ir.MapKey, []uint64) error {
 	return fmt.Errorf("switchsim: data plane attempted a table insert; P4 tables are read-only (§2.1)")
 }
 
-func (a *access) MapRemove(string, ir.MapKey) error {
+func (a *access) MapRemove(*ir.Global, ir.MapKey) error {
 	return fmt.Errorf("switchsim: data plane attempted a table delete; P4 tables are read-only (§2.1)")
 }
 
-func (a *access) VecGet(name string, idx uint64) (uint64, error) {
-	vec, ok := a.snap.vecs[name]
-	if !ok {
-		return 0, fmt.Errorf("switchsim: vector %q not resident", name)
+func (a *access) VecGet(g *ir.Global, idx uint64) (uint64, error) {
+	if !a.snap.resident[g.ID] {
+		return 0, fmt.Errorf("switchsim: vector %q not resident", g.Name)
 	}
+	vec := a.snap.vecs[g.ID]
 	if idx >= uint64(len(vec)) {
-		return 0, fmt.Errorf("switchsim: vector %q index %d out of range", name, idx)
+		return 0, fmt.Errorf("switchsim: vector %q index %d out of range", g.Name, idx)
 	}
 	return vec[idx], nil
 }
 
-func (a *access) VecLen(name string) uint64 { return uint64(len(a.snap.vecs[name])) }
+func (a *access) VecLen(g *ir.Global) uint64 { return uint64(len(a.snap.vecs[g.ID])) }
 
-func (a *access) GlobalLoad(name string) uint64 { return a.snap.registers[name] }
+func (a *access) GlobalLoad(g *ir.Global) uint64 { return a.snap.registers[g.ID] }
 
-func (a *access) GlobalStore(name string, v uint64) error {
+func (a *access) GlobalStore(*ir.Global, uint64) error {
 	return fmt.Errorf("switchsim: data plane attempted a register write to replicated state; updates come from the server (§4.3.3)")
 }
 
-func (a *access) LpmFind(name string, key uint64) ([]uint64, bool) {
-	best := -1
-	var vals []uint64
-	for _, e := range a.snap.lpms[name] {
-		if e.Matches(key) && e.PrefixLen > best {
-			best = e.PrefixLen
-			vals = e.Vals
-		}
-	}
-	return vals, best >= 0
+func (a *access) LpmFind(g *ir.Global, key uint64) ([]uint64, bool) {
+	return ir.LongestPrefix(a.snap.lpms[g.ID], key)
 }
 
 // execCtx bundles everything one pipeline pass needs — the snapshot
@@ -781,7 +812,7 @@ func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key 
 	}
 	ctx := sw.getCtx(snap, ln.view.Load(), work, onTouch)
 	defer putCtx(ctx)
-	r, err := ir.ExecFunc(sw.Res.Prog, sw.Res.PreFn, &ctx.env)
+	r, err := sw.pre.Run(&ctx.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: pre pipeline: %w", err)
 	}
@@ -862,7 +893,7 @@ func (sw *Switch) processPost(pkt *packet.Packet, onTouch func(table string, key
 		ctx.xfer[f.slot-1] = val
 	}
 	pkt.StripGallium()
-	r, err := ir.ExecFunc(sw.Res.Prog, sw.Res.PostFn, &ctx.env)
+	r, err := sw.post.Run(&ctx.env)
 	if err != nil {
 		return PreResult{}, fmt.Errorf("switchsim: post pipeline: %w", err)
 	}
@@ -891,27 +922,29 @@ func (sw *Switch) StageWriteback(u Update) error {
 	sw.c.ctlOps.Inc()
 	sw.c.ctlStaged.Inc()
 	if u.Register != "" {
-		if _, ok := sw.registers[u.Register]; !ok {
+		g, ok := sw.global(u.Register, ir.KindScalar)
+		if !ok {
 			return fmt.Errorf("switchsim: register %q not resident", u.Register)
 		}
-		sw.stagedRegs = append(sw.stagedRegs, u)
+		sw.stagedRegs = append(sw.stagedRegs, regWrite{g.ID, u.RegVal})
 		return nil
 	}
 	if u.Vec != "" {
-		if _, ok := sw.vecs[u.Vec]; !ok {
+		g, ok := sw.global(u.Vec, ir.KindVec)
+		if !ok {
 			return fmt.Errorf("switchsim: vector %q is not offloaded", u.Vec)
 		}
-		g := sw.Res.Prog.Global(u.Vec)
-		if g != nil && g.MaxEntries > 0 && len(u.VecVals) > g.MaxEntries {
+		if g.MaxEntries > 0 && len(u.VecVals) > g.MaxEntries {
 			return fmt.Errorf("switchsim: vector %q: %d entries exceed annotation %d", u.Vec, len(u.VecVals), g.MaxEntries)
 		}
-		sw.stagedVecs[u.Vec] = append([]uint64(nil), u.VecVals...)
+		sw.stagedVecs[g.ID] = append([]uint64(nil), u.VecVals...)
 		return nil
 	}
-	t, ok := sw.tables[u.Table]
+	g, ok := sw.global(u.Table, ir.KindMap)
 	if !ok {
 		return fmt.Errorf("switchsim: table %q not resident", u.Table)
 	}
+	t := sw.tables[g.ID]
 	if u.Replace {
 		return sw.stageReplaceLocked(t, u)
 	}
@@ -980,7 +1013,7 @@ func (sw *Switch) FlipVisibility() {
 	sw.c.ctlFlips.Inc()
 	sw.c.ctlOps.Inc()
 	for _, t := range sw.tables {
-		if len(t.WB) > 0 || len(t.deleted) > 0 {
+		if t != nil && (len(t.WB) > 0 || len(t.deleted) > 0) {
 			t.UseWB = true
 			// Keep the occupancy gauge live even while compaction defers
 			// the merge; Len walks only the bounded overlay.
@@ -989,13 +1022,13 @@ func (sw *Switch) FlipVisibility() {
 			}
 		}
 	}
-	for _, u := range sw.stagedRegs {
-		sw.registers[u.Register] = u.RegVal
+	for _, w := range sw.stagedRegs {
+		sw.registers[w.id] = w.val
 	}
 	sw.stagedRegs = nil
-	for name, vals := range sw.stagedVecs {
-		sw.vecs[name] = vals
-		delete(sw.stagedVecs, name)
+	for id, vals := range sw.stagedVecs {
+		sw.vecs[id] = vals
+		delete(sw.stagedVecs, id)
 	}
 	sw.publishLocked()
 }
@@ -1023,7 +1056,7 @@ func (sw *Switch) MergeWriteback() {
 	defer sw.mu.Unlock()
 	changed := false
 	for _, t := range sw.tables {
-		if !t.UseWB {
+		if t == nil || !t.UseWB {
 			continue
 		}
 		changed = true
@@ -1049,7 +1082,7 @@ func (sw *Switch) CompactWriteback() {
 	defer sw.mu.Unlock()
 	changed := false
 	for _, t := range sw.tables {
-		if !t.UseWB {
+		if t == nil || !t.UseWB {
 			continue
 		}
 		if overlay := len(t.WB) + len(t.deleted); overlay < mergeThreshold(len(t.Main)) {

@@ -209,13 +209,14 @@ func TestDataPlaneIsReadOnly(t *testing.T) {
 	res := compileMB(t, "minilb")
 	sw := New(res)
 	a := &access{snap: sw.snap.Load()}
-	if err := a.MapInsert("conn", ir.MakeMapKey(1), []uint64{1}); err == nil {
+	conn := res.Prog.Global("conn")
+	if err := a.MapInsert(conn, ir.MakeMapKey(1), []uint64{1}); err == nil {
 		t.Error("data-plane insert must be rejected")
 	}
-	if err := a.MapRemove("conn", ir.MakeMapKey(1)); err == nil {
+	if err := a.MapRemove(conn, ir.MakeMapKey(1)); err == nil {
 		t.Error("data-plane remove must be rejected")
 	}
-	if err := a.GlobalStore("x", 1); err == nil {
+	if err := a.GlobalStore(&ir.Global{Name: "x", Kind: ir.KindScalar}, 1); err == nil {
 		t.Error("data-plane register write must be rejected")
 	}
 }
