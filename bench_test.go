@@ -268,7 +268,7 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resetPacket(pkt, pristine)
-		if _, err := sw.ProcessPre(pkt); err != nil {
+		if _, err := sw.ProcessPreShard(pkt, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func BenchmarkSwitchPreMazuNAT(b *testing.B) {
 	// Open the flow: its first packet takes the slow path, and the NAT
 	// entries the server allocates replicate to the switch.
 	resetPacket(pkt, pristine)
-	if pre, err := sw.ProcessPre(pkt); err != nil || pre.Action != ir.ActionNext {
+	if pre, err := sw.ProcessPreShard(pkt, 0, nil); err != nil || pre.Action != ir.ActionNext {
 		b.Fatalf("first packet: action %v, err %v; want the slow path", pre.Action, err)
 	}
 	res, err := srv.Process(pkt)
@@ -312,7 +312,7 @@ func BenchmarkSwitchPreMazuNAT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resetPacket(pkt, pristine)
-		pre, err := sw.ProcessPre(pkt)
+		pre, err := sw.ProcessPreShard(pkt, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func BenchmarkServerSlowPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pkt := packet.BuildTCP(packet.IPv4Addr(i), packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-		if _, err := sw.ProcessPre(pkt); err != nil {
+		if _, err := sw.ProcessPreShard(pkt, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 		if pkt.HasGallium {

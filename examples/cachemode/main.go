@@ -42,7 +42,7 @@ func main() {
 			log.Fatal(err)
 		}
 		res := art.Res
-		d, err := art.NewDeployment(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -58,15 +58,20 @@ func main() {
 				src = packet.MakeIPv4Addr(10, 0, byte(1+rng.Intn(200)), byte(1+rng.Intn(250)))
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
+			// Spaced past the control-plane flip latency, so every
+			// write-back is visible before the next packet arrives.
+			d, err := tb.Inject(int64(i)*10_000_000, p)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if tr.FastPath {
+			if d.FastPath {
 				fast++
 			}
 		}
-		st := d.Switch.Stats()
+		// The last punt's cache fill is still pending: apply it so the
+		// eviction count is final.
+		tb.Settle()
+		st, _ := tb.SwitchStats()
 		fmt.Printf("%10s %13dB %10.1f%% %8d %11d\n",
 			label, res.Report.SwitchMemoryBytes, 100*float64(fast)/total, st.Punts, st.Evictions)
 	}

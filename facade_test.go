@@ -215,22 +215,25 @@ func TestTestbedMetricsEndToEnd(t *testing.T) {
 	}
 }
 
-func TestNewDeploymentSeedsState(t *testing.T) {
+func TestScenarioSetupSeedsTestbed(t *testing.T) {
 	art, err := gallium.CompileBuiltin("l4lb", gallium.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := art.NewDeployment(art.ScenarioSetup(nil))
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: art.ScenarioSetup(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := packet.BuildTCP(packet.MakeIPv4Addr(172, 16, 0, 1), packet.MakeIPv4Addr(10, 0, 2, 2), 5000, 80,
 		packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	tr, err := dep.Process(p)
+	d, err := tb.Inject(0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.FastPath {
+	if !d.Delivered {
+		t.Error("the seeded backend pool should forward the first SYN")
+	}
+	if d.FastPath {
 		t.Error("first SYN should take the slow path")
 	}
 }

@@ -34,10 +34,16 @@ func GenCase(seed uint64, traceLen int) *Case {
 }
 
 // PacketOutcome is one packet's observable fate: sent (with canonical
-// output bytes) or dropped by the middlebox.
+// output bytes) or dropped by the middlebox. The testbed and engine legs
+// also record the packet's path and virtual-time latency; the oracle has
+// neither a switch nor a clock, so comparisons against it ignore them.
 type PacketOutcome struct {
 	Sent  bool
 	Bytes []byte
+
+	FastPath  bool
+	MBDropped bool
+	LatencyNs int64
 }
 
 // Divergence describes a difference between a subject leg and the oracle
@@ -47,8 +53,9 @@ type Divergence struct {
 	// Leg is where the difference surfaced: "compile", "oracle",
 	// "affinity" (the static certificate contradicted the generator's
 	// shard-safety declaration or a recorded verdict), "inject", "run1",
-	// "run8", "adaptive" (8 workers with the batch controller enabled),
-	// or "expiry".
+	// "software" (the inject and run1 pair re-run on the software
+	// baseline), "run8", "adaptive" (8 workers with the batch controller
+	// enabled), or "expiry".
 	Leg    string
 	Detail string
 }
@@ -114,12 +121,12 @@ func runOracle(prog *ir.Program, spec *ProgramSpec, tr *Trace) ([]PacketOutcome,
 	return outs, soft.State, nil
 }
 
-// runInject executes the partitioned deployment packet-at-a-time through
-// the testbed, with packets spaced so every control-plane flip lands
-// before the next arrival.
-func runInject(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) ([]PacketOutcome, *ir.State, error) {
+// runInject executes the deployment packet-at-a-time through the
+// testbed, with packets spaced so every control-plane flip lands before
+// the next arrival.
+func runInject(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, mode gallium.Mode) ([]PacketOutcome, *ir.State, error) {
 	model := fuzzModel()
-	tb, err := art.NewTestbed(gallium.TestbedConfig{Model: &model, Setup: spec.Setup})
+	tb, err := art.NewTestbed(gallium.TestbedConfig{Mode: mode, Model: &model, Setup: spec.Setup})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -130,14 +137,21 @@ func runInject(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) ([]PacketOu
 		if err != nil {
 			return nil, nil, fmt.Errorf("packet %d: %w", i, err)
 		}
-		switch {
-		case d.QueueDropped:
+		if d.QueueDropped {
 			return nil, nil, fmt.Errorf("packet %d: unexpected queue drop", i)
-		case d.Delivered:
-			outs[i] = PacketOutcome{Sent: true, Bytes: outBytes(pkt)}
 		}
+		outs[i] = outcome(d.Delivered, d.MBDropped, d.FastPath, d.LatencyNs, pkt)
 	}
 	return outs, tb.ServerState(), nil
+}
+
+// outcome records a testbed or engine leg's packet fate.
+func outcome(delivered, mbDropped, fast bool, latencyNs int64, pkt *packet.Packet) PacketOutcome {
+	o := PacketOutcome{Sent: delivered, FastPath: fast, MBDropped: mbDropped, LatencyNs: latencyNs}
+	if delivered {
+		o.Bytes = outBytes(pkt)
+	}
+	return o
 }
 
 // runEngine executes the same trace through the concurrent engine.
@@ -183,9 +197,7 @@ func runEngine(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, workers int
 			if d.QueueDropped {
 				qdrop = true
 			}
-			if d.Delivered {
-				outs[d.Seq] = PacketOutcome{Sent: true, Bytes: outBytes(d.Pkt)}
-			}
+			outs[d.Seq] = outcome(d.Delivered, d.MBDropped, d.FastPath, d.LatencyNs, d.Pkt)
 		}),
 	}
 	opts = append(opts, extra...)
@@ -267,6 +279,21 @@ func comparePackets(leg string, oracle, got []PacketOutcome) *Divergence {
 	return nil
 }
 
+// compareTiming reports the first packet whose path or virtual-time
+// latency differs between two legs that run the same datapath (the
+// sequential testbed and a one-worker engine).
+func compareTiming(leg string, want, got []PacketOutcome) *Divergence {
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.FastPath != g.FastPath || w.MBDropped != g.MBDropped || w.LatencyNs != g.LatencyNs {
+			return &Divergence{Leg: leg, Detail: fmt.Sprintf(
+				"packet %d: inject fast=%v mbdrop=%v latency=%dns, engine fast=%v mbdrop=%v latency=%dns",
+				i, w.FastPath, w.MBDropped, w.LatencyNs, g.FastPath, g.MBDropped, g.LatencyNs)}
+		}
+	}
+	return nil
+}
+
 func fate(sent bool) string {
 	if sent {
 		return "sent"
@@ -329,6 +356,32 @@ func stateDiff(want, got *ir.State) string {
 	return ""
 }
 
+// diffSequential runs the inject and one-worker engine legs in one mode
+// against the oracle, then against each other on path and timing.
+func diffSequential(injectLeg, runLeg string, art *gallium.Artifacts, spec *ProgramSpec, tr *Trace, mode gallium.Mode, oracle []PacketOutcome, ostate *ir.State) *Divergence {
+	injected, state, err := runInject(art, spec, tr, mode)
+	if err != nil {
+		return &Divergence{Leg: injectLeg, Detail: err.Error()}
+	}
+	if d := comparePackets(injectLeg, oracle, injected); d != nil {
+		return d
+	}
+	if diff := stateDiff(ostate, state); diff != "" {
+		return &Divergence{Leg: injectLeg, Detail: "final state: " + diff}
+	}
+	outs, states, _, err := runEngine(art, spec, tr, 1, gallium.WithMode(mode))
+	if err != nil {
+		return &Divergence{Leg: runLeg, Detail: err.Error()}
+	}
+	if d := comparePackets(runLeg, oracle, outs); d != nil {
+		return d
+	}
+	if diff := stateDiff(ostate, states[0]); diff != "" {
+		return &Divergence{Leg: runLeg, Detail: "final state: " + diff}
+	}
+	return compareTiming(runLeg, injected, outs)
+}
+
 // CompileCase compiles the case's program through the full pipeline with
 // verification on.
 func CompileCase(c *Case) (*gallium.Artifacts, error) {
@@ -336,7 +389,8 @@ func CompileCase(c *Case) (*gallium.Artifacts, error) {
 }
 
 // RunCase compiles and differentially executes one case. A nil result
-// means oracle, Inject, 1-worker Run, and 8-worker Run all agreed.
+// means oracle, Inject, 1-worker Run (offloaded and software), and
+// 8-worker Run all agreed.
 func RunCase(c *Case) *Divergence {
 	art, err := CompileCase(c)
 	if err != nil {
@@ -378,32 +432,20 @@ func DiffArtifacts(art *gallium.Artifacts, spec *ProgramSpec, tr *Trace) *Diverg
 		return &Divergence{Leg: "oracle", Detail: err.Error()}
 	}
 
-	// Leg 1: sequential testbed injection.
-	outs, state, err := runInject(art, spec, tr)
-	if err != nil {
-		return &Divergence{Leg: "inject", Detail: err.Error()}
-	}
-	if d := comparePackets("inject", oracle, outs); d != nil {
+	// Legs 1 and 2: the sequential testbed and a one-worker engine. Both
+	// drive the same datapath, so beyond matching the oracle they must
+	// agree exactly on every packet's path and virtual-time latency. The
+	// software-baseline leg re-runs the pair with the switch as a plain
+	// forwarder.
+	if d := diffSequential("inject", "run1", art, spec, tr, gallium.Offloaded, oracle, ostate); d != nil {
 		return d
 	}
-	if diff := stateDiff(ostate, state); diff != "" {
-		return &Divergence{Leg: "inject", Detail: "final state: " + diff}
-	}
-
-	// Leg 2: concurrent engine, one worker (sequentially equivalent).
-	outs, states, _, err := runEngine(art, spec, tr, 1)
-	if err != nil {
-		return &Divergence{Leg: "run1", Detail: err.Error()}
-	}
-	if d := comparePackets("run1", oracle, outs); d != nil {
+	if d := diffSequential("software", "software", art, spec, tr, gallium.Software, oracle, ostate); d != nil {
 		return d
-	}
-	if diff := stateDiff(ostate, states[0]); diff != "" {
-		return &Divergence{Leg: "run1", Detail: "final state: " + diff}
 	}
 
 	// Leg 3: concurrent engine, eight workers.
-	outs, states, _, err = runEngine(art, spec, tr, 8)
+	outs, states, _, err := runEngine(art, spec, tr, 8)
 	if err != nil {
 		return &Divergence{Leg: "run8", Detail: err.Error()}
 	}

@@ -1,8 +1,10 @@
 // Package engine is the concurrent sharded packet engine: the runtime
 // counterpart of the netsim testbed's single-threaded virtual-time model.
-// An RSS-style flow-hash dispatcher fans packets out to N workers, each
-// owning one shard of the middlebox server (its own authoritative state,
-// like a DPDK core with per-core tables); the switch pipeline runs as a
+// Both drive the same per-packet walk (netsim.Lane), the testbed as one
+// lane and the engine as one lane per worker. An RSS-style flow-hash
+// dispatcher fans packets out to N workers, each owning one shard of the
+// middlebox server (its own authoritative state, like a DPDK core with
+// per-core tables); the switch pipeline runs as a
 // shared stage whose data plane takes only a read lock; and the §4.3.3
 // write-back slow path is a real bounded channel drained by a dedicated
 // control-plane goroutine that stages, flips, and merges batches.
@@ -326,31 +328,27 @@ func New(cfg Config) (*Engine, error) {
 			eng:  e,
 			jobs: make(chan job, cfg.QueueDepth),
 			hLat: obs.NewHistogram(nil),
-			// Decorrelate the per-worker jitter streams.
-			jitterState: uint64(i+1) * 0x9E3779B97F4A7C15,
-			life:        make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
-			touch:       make([]func(string, ir.MapKey), len(e.stages)),
+			life: make([]atomic.Pointer[flowstate.Tracker], len(e.stages)),
 		}
-		for _, st := range e.stages {
+		// Decorrelate the per-worker jitter streams.
+		w.lane = netsim.NewLane(cfg.Model, i, 1, uint64(i+1)*0x9E3779B97F4A7C15, w.commit)
+		for si, st := range e.stages {
+			var stage netsim.Stage
 			if len(e.sws) > 0 {
-				srv := serverrt.New(st.Res)
-				if st.Setup != nil {
-					st.Setup(i, srv.State)
-				}
-				w.srv = append(w.srv, srv)
+				stage.Sw, stage.Srv = e.sws[si], serverrt.New(st.Res)
 			} else {
-				sft := serverrt.NewSoftware(st.Prog)
-				if st.Setup != nil {
-					st.Setup(i, sft.State)
-				}
-				w.sft = append(w.sft, sft)
+				stage.Sft = serverrt.NewSoftware(st.Prog)
+			}
+			w.stages = append(w.stages, stage)
+			if st.Setup != nil {
+				st.Setup(i, w.stageState(si))
 			}
 		}
 		e.workers = append(e.workers, w)
 	}
 	for si, st := range e.stages {
 		if len(e.sws) > 0 && st.Setup != nil {
-			if err := e.sws[si].SeedFrom(e.workers[0].srv[si].State); err != nil {
+			if err := e.sws[si].SeedFrom(e.workers[0].stageState(si)); err != nil {
 				return nil, err
 			}
 		}
@@ -382,11 +380,12 @@ func (e *Engine) instrument(reg *obs.Registry) {
 	}
 	parts := make([]*obs.Histogram, 0, len(e.workers))
 	for _, w := range e.workers {
-		for _, srv := range w.srv {
-			srv.Instrument(reg)
-		}
-		for _, sft := range w.sft {
-			sft.Instrument(reg)
+		for _, st := range w.stages {
+			if st.Srv != nil {
+				st.Srv.Instrument(reg)
+			} else {
+				st.Sft.Instrument(reg)
+			}
 		}
 		prefix := fmt.Sprintf("engine.worker.%d.", w.id)
 		w.c = workerCounters{
@@ -581,7 +580,7 @@ func (e *Engine) settle(stats []netsim.Stats) {
 			}
 			w.waitAll(e.runCtx)
 			if stats != nil {
-				stats[i] = w.stats
+				stats[i] = w.lane.Stats
 			}
 			wg.Done()
 		}}
@@ -699,18 +698,12 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 		}
 		sw := e.sws[r.Stage]
 		sw.FoldShards()
-		staged := 0
-		for _, u := range shardUpdates {
-			if err := sw.StageWriteback(u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					e.rcRejected.Add(1)
-					continue
-				}
-				close(release)
-				e.fail(err)
-				return err
-			}
-			staged++
+		_, staged, rejected, err := netsim.StageBatch(sw, -1, shardUpdates, false)
+		e.rcRejected.Add(int64(rejected))
+		if err != nil {
+			close(release)
+			e.fail(err)
+			return err
 		}
 		sw.FlipVisibility()
 		sw.CompactWriteback()
@@ -765,7 +758,7 @@ func (e *Engine) Stop() (*Report, error) {
 	}
 	per := make([]netsim.Stats, len(e.workers))
 	for i, w := range e.workers {
-		per[i] = w.stats
+		per[i] = w.lane.Stats
 	}
 	return e.buildReport(per, time.Since(e.startT)), nil
 }
@@ -827,48 +820,25 @@ func (e *Engine) drainCtl(shard int) {
 	defer e.ctlWG.Done()
 	for b := range cs.ch {
 		sw := e.sws[b.stage]
-		toStage := b.updates
-		if b.punt {
-			fills, syncs := serverrt.ClassifyUpdates(sw, b.updates)
-			toStage = append(fills, syncs...)
+		lane, global, rejected, err := netsim.StageBatch(sw, shard, b.updates, b.punt)
+		if rejected > 0 {
+			cs.rejected.Add(int64(rejected))
 		}
-		stagedLane, stagedGlobal := 0, 0
-		failed := false
-		for _, u := range toStage {
-			var err error
-			if switchsim.LaneEligible(u) {
-				if err = sw.StageShard(shard, u); err == nil {
-					stagedLane++
-				}
-			} else {
-				if err = sw.StageWriteback(u); err == nil {
-					stagedGlobal++
-				}
+		if err != nil {
+			if b.applied != nil {
+				close(b.applied)
 			}
-			if err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					cs.rejected.Add(1)
-					continue
-				}
-				if b.applied != nil {
-					close(b.applied)
-				}
-				e.fail(err)
-				failed = true
-				break
-			}
-		}
-		if failed {
+			e.fail(err)
 			return
 		}
 		// Global state flips before the lane: in a mixed batch (only §7
 		// punts mix the two) the lane's entries must not become visible
 		// ahead of the global entries flipped with them.
-		if stagedGlobal > 0 {
+		if global > 0 {
 			sw.FlipVisibility()
 			sw.CompactWriteback()
 		}
-		if stagedLane > 0 {
+		if lane > 0 {
 			sw.FlipShard(shard)
 			// Amortized: small overlays stay in place (this shard's lookups
 			// read them first anyway); the fold happens once they outgrow
@@ -877,9 +847,9 @@ func (e *Engine) drainCtl(shard int) {
 			// quadratic under a flow flood.
 			sw.CompactShard(shard)
 		}
-		if stagedLane+stagedGlobal > 0 {
+		if lane+global > 0 {
 			cs.batches.Add(1)
-			cs.ops.Add(int64(stagedLane + stagedGlobal))
+			cs.ops.Add(int64(lane + global))
 		}
 		if b.applied != nil {
 			close(b.applied)

@@ -165,7 +165,7 @@ func AblationCacheSize() ([]CacheRow, error) {
 			return nil, err
 		}
 		res := art.Res
-		d, err := art.NewDeployment(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
+		tb, err := art.NewTestbed(gallium.TestbedConfig{Setup: func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }})
 		if err != nil {
 			return nil, err
 		}
@@ -179,15 +179,18 @@ func AblationCacheSize() ([]CacheRow, error) {
 				src = packet.MakeIPv4Addr(10, 0, byte(1+rng.Intn(200)), byte(1+rng.Intn(250))) // cold tail
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
+			// Spaced past the control-plane flip latency, so every
+			// write-back is visible before the next packet arrives.
+			d, err := tb.Inject(int64(i)*10_000_000, p)
 			if err != nil {
 				return nil, err
 			}
-			if tr.FastPath {
+			if d.FastPath {
 				fast++
 			}
 		}
-		st := d.Switch.Stats()
+		tb.Settle()
+		st, _ := tb.SwitchStats()
 		mem := res.Report.SwitchMemoryBytes
 		rows = append(rows, CacheRow{
 			Entries:     entries,

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gallium/internal/ir"
@@ -9,6 +10,7 @@ import (
 	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
+	"gallium/internal/serverrt"
 )
 
 func buildTestbed(t *testing.T, name string, mode Mode, cores int) *Testbed {
@@ -520,5 +522,135 @@ func TestRSSShardSymmetricAndBounded(t *testing.T) {
 	}
 	if got := RSSShard(fwd, 0); got != 0 {
 		t.Errorf("RSSShard(_, 0) = %d, want 0", got)
+	}
+}
+
+// TestTestbedSwitchMirrorsServer runs serverrt's deployment-equivalence
+// traffic (same setup, seed, payloads and 2,500 packets) through the
+// offloaded testbed, with injections spaced past the control plane's flip
+// latency so every write-back is visible before the next packet. Each
+// packet must match the reference interpreter, and after every pending
+// flip is settled each switch table must hold exactly the reference
+// state's replicated map, entry by entry.
+func TestTestbedSwitchMirrorsServer(t *testing.T) {
+	for _, name := range []string{"minilb", "mazunat", "l4lb", "firewall", "proxy", "trojandetector"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := middleboxes.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prog, err := lang.Compile(spec.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := partition.Partition(prog, partition.DefaultConstraints())
+			if err != nil {
+				t.Fatal(err)
+			}
+			setup := func(st *ir.State) {
+				middleboxes.ConfigureState(name, st)
+				if name == "proxy" {
+					middleboxes.RedirectPort(st, 80)
+				}
+				if name == "firewall" {
+					rng := rand.New(rand.NewSource(3))
+					for i := 0; i < 24; i++ {
+						middleboxes.AllowFlow(st, randTuple(rng))
+					}
+				}
+			}
+			tb, err := NewTestbed(Config{Model: DefaultModel(), Res: res, Setup: setup})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := serverrt.NewSoftware(prog)
+			setup(ref.State)
+
+			rng := rand.New(rand.NewSource(3))
+			for i := 0; i < 2500; i++ {
+				tup := randTuple(rng)
+				flags := packet.TCPFlagACK
+				switch rng.Intn(8) {
+				case 0:
+					flags = packet.TCPFlagSYN
+				case 1:
+					flags = packet.TCPFlagFIN | packet.TCPFlagACK
+				}
+				payloads := []string{"", "GET /x.zip HTTP/1.1", "data", "SSH-2.0"}
+				var pktRef *packet.Packet
+				if tup.Proto == packet.IPProtocolUDP {
+					pktRef = packet.BuildUDP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort, []byte(payloads[rng.Intn(4)]))
+				} else {
+					pktRef = packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort,
+						packet.TCPOptions{Flags: flags, Payload: []byte(payloads[rng.Intn(4)])})
+				}
+				pktTb := pktRef.Clone()
+
+				rRef, err := ref.Process(pktRef)
+				if err != nil {
+					t.Fatalf("pkt %d: reference: %v", i, err)
+				}
+				d, err := tb.Inject(int64(i)*10_000_000, pktTb)
+				if err != nil {
+					t.Fatalf("pkt %d (%v): testbed: %v", i, tup, err)
+				}
+				if d.QueueDropped {
+					t.Fatalf("pkt %d (%v): unexpected queue drop", i, tup)
+				}
+				if d.MBDropped != (rRef.Action == ir.ActionDropped) {
+					t.Fatalf("pkt %d (%v): action ref=%v, testbed dropped=%v", i, tup, rRef.Action, d.MBDropped)
+				}
+				if d.Delivered {
+					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
+						fld, _ := packet.LookupField(f)
+						if a, b := fld.Get(pktRef), fld.Get(pktTb); a != b {
+							t.Fatalf("pkt %d (%v): %s ref=%d testbed=%d", i, tup, f, a, b)
+						}
+					}
+				}
+			}
+			if !ref.State.Equal(tb.ServerState()) {
+				t.Fatal("final server state mismatch with reference")
+			}
+			tb.Settle()
+			checked := 0
+			for _, gn := range res.OffloadedGlobals {
+				tbl, ok := tb.sw.Table(gn)
+				if !ok {
+					continue
+				}
+				want := ref.State.Maps[gn]
+				for k, v := range want {
+					got, ok := tbl.Lookup(k)
+					if !ok || got[0] != v[0] {
+						t.Fatalf("switch table %s out of sync at %v", gn, k)
+					}
+				}
+				if tbl.Len() != len(want) {
+					t.Fatalf("switch table %s has %d entries, reference has %d", gn, tbl.Len(), len(want))
+				}
+				checked += len(want)
+			}
+			t.Logf("%d replicated entries mirrored", checked)
+		})
+	}
+}
+
+// randTuple draws serverrt's deployment-equivalence flow mix.
+func randTuple(rng *rand.Rand) packet.FiveTuple {
+	proto := packet.IPProtocolTCP
+	if rng.Intn(5) == 0 {
+		proto = packet.IPProtocolUDP
+	}
+	src := packet.MakeIPv4Addr(10, 0, 0, byte(1+rng.Intn(20)))
+	dst := packet.MakeIPv4Addr(93, 184, 0, byte(rng.Intn(20)))
+	if rng.Intn(3) == 0 {
+		src, dst = dst, packet.MakeIPv4Addr(203, 0, 113, 1)
+	}
+	ports := []uint16{80, 22, 443, 6667, 8080}
+	return packet.FiveTuple{
+		SrcIP: src, DstIP: dst,
+		SrcPort: uint16(1024 + rng.Intn(32)), DstPort: ports[rng.Intn(len(ports))],
+		Proto: proto,
 	}
 }

@@ -1,8 +1,8 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
+	"math"
 
 	"gallium/internal/ir"
 	"gallium/internal/obs"
@@ -101,15 +101,12 @@ func (s Stats) ThroughputBps() float64 {
 	return float64(s.BytesOut) * 8 / (float64(s.LastDeliverNs-s.FirstDeliverNs) / 1e9)
 }
 
-// pendingFlip is a control-plane visibility flip scheduled for the future.
-type pendingFlip struct {
-	atNs int64
-}
-
 // Testbed is the packet-level simulator: a time-ordered, single-pass model
 // of the Figure 1 topology. Packets must be injected in non-decreasing
-// timestamp order; queueing at the server is modeled with per-core
-// next-free times and the control plane with deferred visibility flips.
+// timestamp order; it drives one Lane — the datapath the concurrent engine
+// runs per worker — over Config.Cores simulated server cores, staging each
+// write-back when the server emits it and flipping it at its modeled
+// control-plane completion time.
 type Testbed struct {
 	cfg Config
 
@@ -117,25 +114,15 @@ type Testbed struct {
 	srv *serverrt.Server
 	sft *serverrt.Software
 
-	coreFreeNs []int64
-	flips      []pendingFlip
+	lane       Lane
+	stages     []Stage
 	lastInject int64
-	// jitterState drives deterministic endpoint-stack latency noise.
-	jitterState uint64
-
-	stats Stats
 
 	reg   *obs.Registry
 	c     testbedCounters
 	hLat  *obs.Histogram // end-to-end latency, all delivered packets
 	hFast *obs.Histogram // fast-path (switch-only) subset
 	hSlow *obs.Histogram // slow-path (server-visited) subset
-	hWait *obs.Histogram // server ingress queue wait
-	// hStall is the output-commit stall: time a packet is held past server
-	// completion waiting for its write-back batch to flip (§4.3.3).
-	hStall   *obs.Histogram
-	corePkts []*obs.Counter
-	coreBusy []*obs.Counter
 	// tracer is resolved once at build time, like every other handle, so
 	// the per-packet path never touches the registry mutex. Enable tracing
 	// on the registry before constructing the testbed.
@@ -144,9 +131,9 @@ type Testbed struct {
 
 // testbedCounters are the end-to-end counters.
 type testbedCounters struct {
-	injected, delivered     *obs.Counter
-	mbDrops, queueDrops     *obs.Counter
-	ctlRejected, ctlStalled *obs.Counter
+	injected, delivered *obs.Counter
+	mbDrops, queueDrops *obs.Counter
+	ctlRejected         *obs.Counter
 }
 
 // instrument wires the registry through every component and resolves the
@@ -171,21 +158,22 @@ func (tb *Testbed) instrument(reg *obs.Registry) {
 		mbDrops:     reg.Counter("e2e.mb_drops"),
 		queueDrops:  reg.Counter("e2e.queue_drops"),
 		ctlRejected: reg.Counter("e2e.ctl_rejected"),
-		ctlStalled:  reg.Counter("switch.ctl.stalled_packets"),
 	}
 	tb.hFast = reg.Histogram("e2e.latency_ns.fast", nil)
 	tb.hSlow = reg.Histogram("e2e.latency_ns.slow", nil)
 	// Every delivered packet is either fast or slow, so the all-packets
 	// histogram is a read-time merge — one observation per delivery.
 	tb.hLat = reg.MergedHistogram("e2e.latency_ns", tb.hFast, tb.hSlow)
-	tb.hWait = reg.Histogram("server.queue.wait_ns", nil)
-	tb.hStall = reg.Histogram("switch.ctl.stall_ns", nil)
 	tb.tracer = reg.Tracer()
-	tb.corePkts = make([]*obs.Counter, len(tb.coreFreeNs))
-	tb.coreBusy = make([]*obs.Counter, len(tb.coreFreeNs))
-	for i := range tb.coreFreeNs {
-		tb.corePkts[i] = reg.Counter(fmt.Sprintf("core.%d.packets", i))
-		tb.coreBusy[i] = reg.Counter(fmt.Sprintf("core.%d.busy_ns", i))
+	o := &tb.lane.o
+	o.stalled = reg.Counter("switch.ctl.stalled_packets")
+	o.wait = reg.Histogram("server.queue.wait_ns", nil)
+	// The output-commit stall: time a packet is held past server
+	// completion waiting for its write-back batch to flip (§4.3.3).
+	o.stall = reg.Histogram("switch.ctl.stall_ns", nil)
+	for i := range tb.lane.coreFreeNs {
+		o.corePkts = append(o.corePkts, reg.Counter(fmt.Sprintf("core.%d.packets", i)))
+		o.coreBusy = append(o.coreBusy, reg.Counter(fmt.Sprintf("core.%d.busy_ns", i)))
 	}
 }
 
@@ -204,29 +192,6 @@ func (tb *Testbed) traceStart(tNs int64, pkt *packet.Packet) *obs.Trace {
 	return tr
 }
 
-// serveCore accounts one slow-path packet's service on its core.
-func (tb *Testbed) serveCore(core int, waitNs, serviceNs int64) {
-	if tb.reg == nil {
-		return
-	}
-	tb.corePkts[core].Inc()
-	tb.coreBusy[core].Add(uint64(serviceNs))
-	tb.hWait.Observe(waitNs)
-}
-
-// stackNs returns the endpoint stack latency with deterministic jitter
-// (an xorshift stream scaled into ±StackJitterFrac/2).
-func (tb *Testbed) stackNs() float64 {
-	m := tb.cfg.Model
-	if m.StackJitterFrac == 0 {
-		return m.EndpointStackNs
-	}
-	x := tb.jitterState*2862933555777941757 + 3037000493
-	tb.jitterState = x
-	u := float64(x>>11) / float64(1<<53) // [0,1)
-	return m.EndpointStackNs * (1 + m.StackJitterFrac*(u-0.5))
-}
-
 // NewTestbed builds and configures a testbed.
 func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Cores <= 0 {
@@ -235,7 +200,7 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = Offloaded
 	}
-	tb := &Testbed{cfg: cfg, coreFreeNs: make([]int64, cfg.Cores)}
+	tb := &Testbed{cfg: cfg}
 	switch cfg.Mode {
 	case Offloaded:
 		if cfg.Res == nil {
@@ -260,8 +225,39 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	default:
 		return nil, fmt.Errorf("netsim: unknown mode %v", cfg.Mode)
 	}
+	tb.lane = NewLane(cfg.Model, 0, cfg.Cores, 0, tb.commit)
+	tb.stages = []Stage{{Sw: tb.sw, Srv: tb.srv, Sft: tb.sft}}
 	tb.instrument(cfg.Obs)
 	return tb, nil
+}
+
+// stage stages a write-back batch on the switch, accounting full-table
+// rejections, and returns how many updates were staged.
+func (tb *Testbed) stage(updates []switchsim.Update) (int, error) {
+	_, staged, rejected, err := StageBatch(tb.sw, -1, updates, false)
+	tb.lane.Stats.CtlRejected += rejected
+	tb.c.ctlRejected.Add(uint64(rejected))
+	return staged, err
+}
+
+// commit is the testbed's write-back hook: the batch is staged now
+// (invisible) and its flip scheduled at the modeled control-plane
+// completion time. Output commit holds a synchronous batch's packet until
+// the flip (§4.3.3); a full table is a soft failure — that entry simply
+// never reaches the switch. A punt batch was classified by the walk
+// against this same switch state, so it stages as it is.
+func (tb *Testbed) commit(wb Writeback) (int64, error) {
+	staged, err := tb.stage(wb.Updates)
+	if err != nil || staged == 0 {
+		return wb.DoneNs, err
+	}
+	tb.lane.Stats.CtlOps += staged
+	flipAt := wb.DoneNs + int64(tb.cfg.Model.CtlBatchNs(staged))
+	tb.lane.flips = append(tb.lane.flips, flipAt)
+	if !wb.Sync {
+		return wb.DoneNs, nil
+	}
+	return flipAt, nil
 }
 
 // Reconfigure applies one control-plane change to the sequential testbed
@@ -280,38 +276,26 @@ func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, upd
 	if tb.sw == nil {
 		return nil
 	}
-	for _, u := range all {
-		if err := tb.sw.StageWriteback(u); err != nil {
-			if errors.Is(err, switchsim.ErrTableFull) {
-				tb.stats.CtlRejected++
-				tb.c.ctlRejected.Inc()
-				continue
-			}
-			return err
-		}
+	if _, err := tb.stage(all); err != nil {
+		return err
 	}
 	tb.sw.FlipVisibility()
 	tb.sw.MergeWriteback()
 	tb.sw.MarkReconfig()
-	tb.stats.CtlBatches++
-	tb.flips = tb.flips[:0]
+	tb.lane.Stats.CtlBatches++
+	tb.lane.flips = tb.lane.flips[:0]
 	return nil
 }
 
-// applyFlips makes all control-plane batches whose flip time has passed
-// visible to the data plane.
-func (tb *Testbed) applyFlips(nowNs int64) {
-	kept := tb.flips[:0]
-	for _, f := range tb.flips {
-		if f.atNs <= nowNs {
-			tb.sw.FlipVisibility()
-			tb.sw.MergeWriteback()
-			tb.stats.CtlBatches++
-		} else {
-			kept = append(kept, f)
-		}
+// Settle applies every scheduled write-back flip now, as if the control
+// plane had caught up: the sequential counterpart of the engine's
+// stop-time fold. A packet whose write-back does not stall it (a §7
+// cache fill) leaves its flip pending past delivery; read switch tables
+// and counters after Settle to see its effect.
+func (tb *Testbed) Settle() {
+	if tb.sw != nil {
+		tb.lane.applyFlips(tb.sw, math.MaxInt64)
 	}
-	tb.flips = kept
 }
 
 // Inject runs one packet through the testbed, starting from the source
@@ -321,310 +305,36 @@ func (tb *Testbed) Inject(tNs int64, pkt *packet.Packet) (Delivery, error) {
 		return Delivery{}, fmt.Errorf("netsim: out-of-order injection (%d < %d)", tNs, tb.lastInject)
 	}
 	tb.lastInject = tNs
-	tb.stats.Injected++
 	tb.c.injected.Inc()
-	size := pkt.WireLen()
-	tb.stats.BytesIn += int64(size)
-	m := tb.cfg.Model
 	tr := tb.traceStart(tNs, pkt)
-
-	// Source stack + first link.
-	t := float64(tNs) + tb.stackNs() + m.SerializationNs(size) + m.LinkPropNs
-
-	if tb.cfg.Mode == Software {
-		return tb.injectSoftware(tNs, int64(t), pkt, tr)
-	}
-
-	// Switch pre-processing pass.
-	tb.applyFlips(int64(t))
-	preHop := tr.Hop("switch-pre", int64(t))
-	tb.sw.TraceHop(preHop)
-	pre, err := tb.sw.ProcessPre(pkt)
-	tb.sw.TraceHop(nil)
+	tb.lane.trace = tr
+	d, err := tb.lane.Run(tNs, pkt, tb.stages)
 	if err != nil {
 		return Delivery{}, err
 	}
-	preHop.SetSteps(pre.Steps)
-	t += m.SwitchPipelineNs
-	if pre.Punt {
-		preHop.SetAction("punt")
-		return tb.injectPunt(tNs, t, pkt, tr)
-	}
-	preHop.SetAction(pre.Action.String())
-	switch pre.Action {
-	case ir.ActionDropped:
-		tb.stats.MBDrops++
-		tb.stats.FastPath++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", int64(t)).SetNote("middlebox drop on switch")
-		return Delivery{MBDropped: true, FastPath: true}, nil
-	case ir.ActionSent:
-		tb.stats.FastPath++
-		return tb.deliver(tNs, t, pkt, true, tr)
-	}
-
-	// Slow path: switch → server link, server queue, service.
-	tb.stats.SlowPath++
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
+	switch {
+	case d.QueueDropped:
 		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-
-	rx, err := packet.DecodePacket(pkt.Serialize(), tb.cfg.Res.FormatA)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: server rx: %w", err)
-	}
-	srvHop := tr.Hop("server", start)
-	srvRes, err := tb.srv.Process(rx)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(srvRes.Steps)
-	srvHop.SetAction(srvRes.Action.String())
-	if srvHop != nil && start > arrive {
-		srvHop.SetNote(fmt.Sprintf("queued %.2fµs on core %d", float64(start-arrive)/1000, core))
-	}
-	// The core is busy only for the CPU service time; the fixed datapath
-	// latency (NIC, PCIe, DPDK polling) is pipelined on top.
-	busyUntil := start + int64(m.ServerServiceNs(srvRes.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(srvRes.Steps)
-	tb.serveCore(core, start-arrive, busyUntil-start)
-
-	release := done
-	if len(srvRes.Updates) > 0 {
-		// Stage now (invisible), flip later; output commit holds the
-		// packet until the flip (§4.3.3). A full table is a soft failure:
-		// that entry simply never reaches the switch.
-		staged := 0
-		for _, u := range srvRes.Updates {
-			if err := tb.sw.StageWriteback(u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					tb.stats.CtlRejected++
-					tb.c.ctlRejected.Inc()
-					continue
-				}
-				return Delivery{}, err
-			}
-			staged++
-		}
-		if staged > 0 {
-			tb.stats.CtlOps += staged
-			flipAt := done + int64(m.CtlBatchNs(staged))
-			tb.flips = append(tb.flips, pendingFlip{atNs: flipAt})
-			release = flipAt
-		}
-	}
-	if release > done {
-		// Output commit held the packet until its write-back batch flipped.
-		tb.c.ctlStalled.Inc()
-		tb.hStall.Observe(release - done)
-		if srvHop != nil {
-			srvHop.SetNote(fmt.Sprintf("output commit stalled %.2fµs", float64(release-done)/1000))
-		}
-	}
-
-	switch srvRes.Action {
-	case ir.ActionDropped:
-		tb.stats.MBDrops++
+	case d.MBDropped:
 		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	case ir.ActionSent:
-		// Server-owned terminator: back through the switch as plain
-		// forwarding.
-		tRel := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-		*pkt = *rx
-		return tb.deliver(tNs, tRel, pkt, false, tr)
-	}
-
-	// Back to the switch for post-processing.
-	tBack := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs
-	tb.applyFlips(int64(tBack))
-	back, err := packet.DecodePacket(rx.Serialize(), tb.cfg.Res.FormatB)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: switch rx from server: %w", err)
-	}
-	postHop := tr.Hop("switch-post", int64(tBack))
-	tb.sw.TraceHop(postHop)
-	post, err := tb.sw.ProcessPost(back)
-	tb.sw.TraceHop(nil)
-	if err != nil {
-		return Delivery{}, err
-	}
-	postHop.SetSteps(post.Steps)
-	postHop.SetAction(post.Action.String())
-	tBack += m.SwitchPipelineNs
-	*pkt = *back
-	if post.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", int64(tBack)).SetNote("middlebox drop on switch post-pass")
-		return Delivery{MBDropped: true}, nil
-	}
-	return tb.deliver(tNs, tBack, pkt, false, tr)
-}
-
-// injectPunt handles a §7 cache-mode punt: the unmodified packet goes to
-// the server, which runs the full middlebox. Cache fills do not stall the
-// packet; synchronous updates do (output commit).
-func (tb *Testbed) injectPunt(tNs int64, t float64, pkt *packet.Packet, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	tb.stats.SlowPath++
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
-		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-	rx, err := packet.DecodePacket(pkt.Serialize(), nil)
-	if err != nil {
-		return Delivery{}, fmt.Errorf("netsim: server rx (punt): %w", err)
-	}
-	srvHop := tr.Hop("server-full", start)
-	res, err := tb.srv.ProcessFull(rx)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(res.Steps)
-	srvHop.SetAction(res.Action.String())
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(res.Steps)
-	tb.serveCore(core, start-arrive, busyUntil-start)
-
-	release := done
-	fills, syncs := serverrt.ClassifyUpdates(tb.sw, res.Updates)
-	if len(fills)+len(syncs) > 0 {
-		staged := 0
-		for _, u := range append(fills, syncs...) {
-			if err := tb.sw.StageWriteback(u); err != nil {
-				if errors.Is(err, switchsim.ErrTableFull) {
-					tb.stats.CtlRejected++
-					tb.c.ctlRejected.Inc()
-					continue
-				}
-				return Delivery{}, err
-			}
-			staged++
-		}
-		if staged > 0 {
-			tb.stats.CtlOps += staged
-			flipAt := done + int64(m.CtlBatchNs(staged))
-			tb.flips = append(tb.flips, pendingFlip{atNs: flipAt})
-			if len(syncs) > 0 {
-				// Output commit: only authoritative-visible changes stall.
-				release = flipAt
-			}
-		}
-	}
-	if release > done {
-		tb.c.ctlStalled.Inc()
-		tb.hStall.Observe(release - done)
-		if srvHop != nil {
-			srvHop.SetNote(fmt.Sprintf("output commit stalled %.2fµs", float64(release-done)/1000))
-		}
-	}
-	if res.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	}
-	// Back out through the switch as plain forwarding.
-	tOut := float64(release) + m.SerializationNs(rx.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	*pkt = *rx
-	return tb.deliver(tNs, tOut, pkt, false, tr)
-}
-
-func (tb *Testbed) injectSoftware(tNs int64, arriveSwitch int64, pkt *packet.Packet, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	// Plain forwarding through the switch to the server.
-	t := float64(arriveSwitch) + m.SwitchPipelineNs + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs
-	core := RSSShard(pkt, len(tb.coreFreeNs))
-	arrive := int64(t)
-	start := arrive
-	if tb.coreFreeNs[core] > start {
-		start = tb.coreFreeNs[core]
-	}
-	if float64(start-arrive) > m.MaxQueueDelayNs {
-		tb.stats.QueueDrops++
-		tb.c.queueDrops.Inc()
-		tr.Hop("drop", start).SetNote("server queue overflow")
-		return Delivery{QueueDropped: true}, nil
-	}
-	srvHop := tr.Hop("server", start)
-	res, err := tb.sft.Process(pkt)
-	if err != nil {
-		return Delivery{}, err
-	}
-	srvHop.SetSteps(res.Steps)
-	srvHop.SetAction(res.Action.String())
-	busyUntil := start + int64(m.ServerServiceNs(res.Steps))
-	tb.coreFreeNs[core] = busyUntil
-	done := busyUntil + int64(m.ServerDatapathNs)
-	tb.stats.ServerCycles += m.ServerCycles(res.Steps)
-	tb.stats.SlowPath++
-	tb.serveCore(core, start-arrive, busyUntil-start)
-	if res.Action == ir.ActionDropped {
-		tb.stats.MBDrops++
-		tb.c.mbDrops.Inc()
-		tr.Hop("drop", done).SetNote("middlebox drop on server")
-		return Delivery{MBDropped: true}, nil
-	}
-	tOut := float64(done) + m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + m.SwitchPipelineNs
-	return tb.deliver(tNs, tOut, pkt, false, tr)
-}
-
-// deliver carries the packet over the final link into the sink host.
-func (tb *Testbed) deliver(tInject int64, t float64, pkt *packet.Packet, fast bool, tr *obs.Trace) (Delivery, error) {
-	m := tb.cfg.Model
-	t += m.SerializationNs(pkt.WireLen()) + m.LinkPropNs + tb.stackNs()
-	d := Delivery{Delivered: true, FastPath: fast, DeliverNs: int64(t), LatencyNs: int64(t) - tInject}
-	tb.stats.Delivered++
-	tb.stats.BytesOut += int64(pkt.WireLen())
-	if tb.stats.FirstDeliverNs == 0 || d.DeliverNs < tb.stats.FirstDeliverNs {
-		tb.stats.FirstDeliverNs = d.DeliverNs
-	}
-	if d.DeliverNs > tb.stats.LastDeliverNs {
-		tb.stats.LastDeliverNs = d.DeliverNs
-	}
-	if tb.reg != nil {
+	case tb.reg != nil:
 		tb.c.delivered.Inc()
 		// hLat is the read-time merge of the two, so one observation
 		// covers both views.
-		if fast {
+		if d.FastPath {
 			tb.hFast.Observe(d.LatencyNs)
 		} else {
 			tb.hSlow.Observe(d.LatencyNs)
 		}
 	}
-	if tr != nil { // guard: the Sprintf must not run on the untraced path
+	if tr != nil && d.Delivered { // guard: the Sprintf must not run on the untraced path
 		tr.Hop("deliver", d.DeliverNs).SetNote(fmt.Sprintf("latency %.2fµs", float64(d.LatencyNs)/1000))
 	}
 	return d, nil
 }
 
 // Stats returns the run counters so far.
-func (tb *Testbed) Stats() Stats { return tb.stats }
+func (tb *Testbed) Stats() Stats { return tb.lane.Stats }
 
 // ServerState exposes the authoritative middlebox state: the server's in
 // offloaded mode, the software runner's otherwise. Callers must not

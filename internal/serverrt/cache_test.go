@@ -1,35 +1,23 @@
-package serverrt
+package serverrt_test
 
 import (
 	"math/rand"
 	"testing"
 
 	"gallium/internal/ir"
-	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
 	"gallium/internal/packet"
-	"gallium/internal/partition"
+	"gallium/internal/serverrt"
+	"gallium/internal/switchsim"
 )
 
-// deployCached builds a deployment where the named tables run as §7
-// switch caches of the given capacity.
-func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *Deployment) {
+// deployCached builds the pair with the named tables running as §7
+// switch caches of the given capacity, seeded with the middlebox's
+// configured state.
+func deployCached(t *testing.T, name string, caches map[string]int) (*ir.Program, *pair) {
 	t.Helper()
-	spec, err := middleboxes.Lookup(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := lang.Compile(spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := partition.DefaultConstraints()
-	c.CacheEntries = caches
-	res, err := partition.Partition(prog, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, NewDeployment(res)
+	prog, res := partitioned(t, name, caches)
+	return prog, newPair(t, res, func(st *ir.State) { middleboxes.ConfigureState(name, st) })
 }
 
 // TestCacheModeEquivalence drives far more connections than the cache
@@ -47,15 +35,10 @@ func TestCacheModeEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog, d := deployCached(t, tc.name, tc.caches)
-			ref := NewSoftware(prog)
-			setup := func(st *ir.State) { middleboxes.ConfigureState(tc.name, st) }
-			setup(ref.State)
-			if err := d.Configure(setup); err != nil {
-				t.Fatal(err)
-			}
+			ref := serverrt.NewSoftware(prog)
+			middleboxes.ConfigureState(tc.name, ref.State)
 
 			rng := rand.New(rand.NewSource(11))
-			punts := 0
 			for i := 0; i < 4000; i++ {
 				// ~200 distinct connections against 8-16 cache slots.
 				src := packet.MakeIPv4Addr(10, 0, byte(rng.Intn(5)), byte(1+rng.Intn(40)))
@@ -70,14 +53,11 @@ func TestCacheModeEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, err := d.Process(pktDep)
-				if err != nil {
-					t.Fatalf("pkt %d: %v", i, err)
+				act, _, _ := d.send(pktDep)
+				if rRef.Action != act {
+					t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, act)
 				}
-				if rRef.Action != tr.Action {
-					t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, tr.Action)
-				}
-				if tr.Action == ir.ActionSent {
+				if act == ir.ActionSent {
 					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
 						fld, _ := packet.LookupField(f)
 						a, b := fld.Get(pktRef), fld.Get(pktDep)
@@ -86,15 +66,12 @@ func TestCacheModeEquivalence(t *testing.T) {
 						}
 					}
 				}
-				if !tr.FastPath && tr.SrvSteps > 0 {
-					punts++
-				}
 			}
-			if !ref.State.Equal(d.Server.State) {
+			if !ref.State.Equal(d.tb.ServerState()) {
 				t.Fatal("server state diverged from reference")
 			}
 			// Cache stayed within capacity.
-			st := d.Switch.Stats()
+			st := d.switchStats()
 			for tbl, cap := range tc.caches {
 				if st.TableEntries[tbl] > cap {
 					t.Errorf("cache %s holds %d entries, capacity %d", tbl, st.TableEntries[tbl], cap)
@@ -116,12 +93,14 @@ func TestCacheModeEquivalence(t *testing.T) {
 // packet — no pipeline effects may leak (P4 predicates actions on the punt
 // flag).
 func TestCachePuntLeavesPacketUntouched(t *testing.T) {
-	_, d := deployCached(t, "minilb", map[string]int{"conn": 4})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
+	_, res := partitioned(t, "minilb", map[string]int{"conn": 4})
+	sw, srv := switchsim.New(res), serverrt.New(res)
+	middleboxes.ConfigureState("minilb", srv.State)
+	if err := sw.SeedFrom(srv.State); err != nil {
 		t.Fatal(err)
 	}
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	pre, err := d.Switch.ProcessPre(pkt)
+	pre, err := sw.ProcessPreShard(pkt, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,28 +119,18 @@ func TestCachePuntLeavesPacketUntouched(t *testing.T) {
 // connection hits on the switch.
 func TestCacheFillEnablesFastPath(t *testing.T) {
 	_, d := deployCached(t, "minilb", map[string]int{"conn": 4})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-		t.Fatal(err)
-	}
 	p1 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	tr1, err := d.Process(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr1.FastPath {
+	_, fast, stalled := d.send(p1)
+	if fast {
 		t.Fatal("first packet cannot be fast")
 	}
 	// The fill must not have stalled the packet: cache fills are not
 	// output-commit events (a racing packet just punts).
-	if tr1.SyncOps != 0 {
-		t.Errorf("cache fill stalled the packet (%d sync ops)", tr1.SyncOps)
+	if stalled {
+		t.Error("cache fill stalled the packet")
 	}
 	p2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 7, 80, packet.TCPOptions{})
-	tr2, err := d.Process(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.FastPath {
+	if _, fast, _ = d.send(p2); !fast {
 		t.Fatal("second packet should hit the warmed cache")
 	}
 	if p2.IP.DstIP != p1.IP.DstIP {
@@ -174,43 +143,27 @@ func TestCacheFillEnablesFastPath(t *testing.T) {
 // that tuple punt (and get a fresh authoritative answer).
 func TestCacheInvalidationOnRemove(t *testing.T) {
 	_, d := deployCached(t, "l4lb", map[string]int{"conns": 8})
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("l4lb", st) }); err != nil {
-		t.Fatal(err)
-	}
 	client := packet.MakeIPv4Addr(172, 16, 0, 3)
 	vip := packet.MakeIPv4Addr(10, 0, 2, 2)
 	mk := func(flags uint8) *packet.Packet {
 		return packet.BuildTCP(client, vip, 6000, 80, packet.TCPOptions{Flags: flags})
 	}
-	if _, err := d.Process(mk(packet.TCPFlagSYN)); err != nil { // punt + fill
-		t.Fatal(err)
-	}
-	tr, err := d.Process(mk(packet.TCPFlagACK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.FastPath {
+	d.send(mk(packet.TCPFlagSYN)) // punt + fill
+	if _, fast, _ := d.send(mk(packet.TCPFlagACK)); !fast {
 		t.Fatal("data packet should hit the cache")
 	}
 	// FIN hits the cache, goes to the server partition, removes the entry;
 	// the removal is a synchronous update.
-	trFin, err := d.Process(mk(packet.TCPFlagFIN | packet.TCPFlagACK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trFin.SyncOps == 0 {
+	if _, _, stalled := d.send(mk(packet.TCPFlagFIN | packet.TCPFlagACK)); !stalled {
 		t.Error("connection removal did not synchronize")
 	}
-	tbl, _ := d.Switch.Table("conns")
-	if tbl.Len() != 0 {
-		t.Errorf("cache still holds %d entries after FIN", tbl.Len())
+	st := d.switchStats()
+	if n := st.TableEntries["conns"]; n != 0 {
+		t.Errorf("cache still holds %d entries after FIN", n)
 	}
 	// Next packet of the tuple punts (authoritative miss → new entry).
-	pre, err := d.Switch.ProcessPre(mk(packet.TCPFlagACK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pre.Punt {
+	d.send(mk(packet.TCPFlagACK))
+	if d.switchStats().Punts != st.Punts+1 {
 		t.Error("post-FIN packet should punt on the invalidated cache")
 	}
 }
@@ -220,9 +173,6 @@ func TestCacheInvalidationOnRemove(t *testing.T) {
 func TestCacheHitRateGrowsWithCapacity(t *testing.T) {
 	run := func(capEntries int) float64 {
 		_, d := deployCached(t, "minilb", map[string]int{"conn": capEntries})
-		if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(5))
 		fast := 0
 		total := 6000
@@ -235,11 +185,7 @@ func TestCacheHitRateGrowsWithCapacity(t *testing.T) {
 				src = packet.MakeIPv4Addr(10, 0, 1, byte(1+rng.Intn(100))) // cold
 			}
 			p := packet.BuildTCP(src, packet.MakeIPv4Addr(9, 9, 9, 9), 1000, 80, packet.TCPOptions{})
-			tr, err := d.Process(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tr.FastPath {
+			if _, isFast, _ := d.send(p); isFast {
 				fast++
 			}
 		}

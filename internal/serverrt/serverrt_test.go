@@ -1,4 +1,4 @@
-package serverrt
+package serverrt_test
 
 import (
 	"math/rand"
@@ -7,12 +7,17 @@ import (
 	"gallium/internal/ir"
 	"gallium/internal/lang"
 	"gallium/internal/middleboxes"
+	"gallium/internal/netsim"
+	"gallium/internal/obs"
 	"gallium/internal/packet"
 	"gallium/internal/partition"
+	"gallium/internal/serverrt"
 	"gallium/internal/switchsim"
 )
 
-func deploy(t *testing.T, name string) (*ir.Program, *Deployment) {
+// partitioned compiles and partitions a built-in middlebox; caches, when
+// non-nil, runs the named tables as §7 switch caches of that capacity.
+func partitioned(t *testing.T, name string, caches map[string]int) (*ir.Program, *partition.Result) {
 	t.Helper()
 	spec, err := middleboxes.Lookup(name)
 	if err != nil {
@@ -22,11 +27,77 @@ func deploy(t *testing.T, name string) (*ir.Program, *Deployment) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := partition.Partition(prog, partition.DefaultConstraints())
+	c := partition.DefaultConstraints()
+	c.CacheEntries = caches
+	res, err := partition.Partition(prog, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return prog, NewDeployment(res)
+	return prog, res
+}
+
+// spacingNs spaces injections far past the control plane's flip latency
+// (~135µs per batch), so every write-back a packet emits is visible
+// before the next packet arrives: the switch+server pair behaves
+// synchronously, one packet at a time.
+const spacingNs = 10_000_000
+
+// pair drives the offloaded switch+server pair packet-at-a-time through
+// the sequential testbed.
+type pair struct {
+	t   *testing.T
+	tb  *netsim.Testbed
+	reg *obs.Registry
+	n   int64
+}
+
+// newPair builds the pair for a partition result, seeding state with
+// setup when non-nil.
+func newPair(t *testing.T, res *partition.Result, setup func(st *ir.State)) *pair {
+	t.Helper()
+	reg := obs.NewRegistry()
+	tb, err := netsim.NewTestbed(netsim.Config{Model: netsim.DefaultModel(), Res: res, Setup: setup, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &pair{t: t, tb: tb, reg: reg}
+}
+
+// deploy builds the pair for a built-in middlebox.
+func deploy(t *testing.T, name string, setup func(st *ir.State)) (*ir.Program, *pair) {
+	t.Helper()
+	prog, res := partitioned(t, name, nil)
+	return prog, newPair(t, res, setup)
+}
+
+// send injects one packet (rewritten in place) and reports its fate as
+// an action, whether the switch alone handled it, and whether output
+// commit stalled it on a write-back.
+func (p *pair) send(pkt *packet.Packet) (act ir.Action, fast, stalled bool) {
+	p.t.Helper()
+	stalls := p.reg.Counter("switch.ctl.stalled_packets")
+	before := stalls.Value()
+	d, err := p.tb.Inject(p.n*spacingNs, pkt)
+	p.n++
+	if err != nil {
+		p.t.Fatalf("packet %d: %v", p.n-1, err)
+	}
+	switch {
+	case d.QueueDropped:
+		p.t.Fatalf("packet %d: unexpected queue drop", p.n-1)
+	case d.MBDropped:
+		act = ir.ActionDropped
+	default:
+		act = ir.ActionSent
+	}
+	return act, d.FastPath, stalls.Value() > before
+}
+
+// switchStats settles every pending write-back and reads the switch.
+func (p *pair) switchStats() switchsim.Stats {
+	p.tb.Settle()
+	st, _ := p.tb.SwitchStats()
+	return st
 }
 
 // TestDeploymentEquivalenceAllMiddleboxes is the strongest equivalence
@@ -39,9 +110,6 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 	names := []string{"minilb", "mazunat", "l4lb", "firewall", "proxy", "trojandetector"}
 	for _, name := range names {
 		t.Run(name, func(t *testing.T) {
-			prog, d := deploy(t, name)
-			ref := NewSoftware(prog)
-
 			setup := func(st *ir.State) {
 				middleboxes.ConfigureState(name, st)
 				if name == "proxy" {
@@ -54,10 +122,9 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					}
 				}
 			}
+			prog, d := deploy(t, name, setup)
+			ref := serverrt.NewSoftware(prog)
 			setup(ref.State)
-			if err := d.Configure(setup); err != nil {
-				t.Fatal(err)
-			}
 
 			rng := rand.New(rand.NewSource(3))
 			for i := 0; i < 2500; i++ {
@@ -83,14 +150,11 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("pkt %d: reference: %v", i, err)
 				}
-				tr, err := d.Process(pktDep)
-				if err != nil {
-					t.Fatalf("pkt %d (%v): deployment: %v", i, tup, err)
+				act, _, _ := d.send(pktDep)
+				if rRef.Action != act {
+					t.Fatalf("pkt %d (%v): action ref=%v dep=%v", i, tup, rRef.Action, act)
 				}
-				if rRef.Action != tr.Action {
-					t.Fatalf("pkt %d (%v): action ref=%v dep=%v", i, tup, rRef.Action, tr.Action)
-				}
-				if tr.Action == ir.ActionSent {
+				if act == ir.ActionSent {
 					for _, f := range []string{"ip.saddr", "ip.daddr", "l4.sport", "l4.dport"} {
 						fld, _ := packet.LookupField(f)
 						a, b := fld.Get(pktRef), fld.Get(pktDep)
@@ -103,24 +167,16 @@ func TestDeploymentEquivalenceAllMiddleboxes(t *testing.T) {
 					}
 				}
 			}
-			if !ref.State.Equal(d.Server.State) {
+			if !ref.State.Equal(d.tb.ServerState()) {
 				t.Fatal("final server state mismatch with reference")
 			}
-			// Switch table contents must mirror the server's replicated maps.
-			for _, gn := range d.Server.Res.OffloadedGlobals {
-				g := d.Server.Res.Prog.Global(gn)
-				if g.Kind != ir.KindMap {
-					continue
-				}
-				tbl, _ := d.Switch.Table(gn)
-				for k, v := range ref.State.Maps[gn] {
-					got, ok := tbl.Lookup(k)
-					if !ok || got[0] != v[0] {
-						t.Fatalf("switch table %s out of sync at %v", gn, k)
-					}
-				}
-				if tbl.Len() != len(ref.State.Maps[gn]) {
-					t.Fatalf("switch table %s has %d entries, server has %d", gn, tbl.Len(), len(ref.State.Maps[gn]))
+			// Switch tables must hold as many entries as the server's
+			// replicated maps. The switch is internal to the testbed, so
+			// netsim's TestTestbedSwitchMirrorsServer replays this traffic
+			// and checks the tables entry by entry.
+			for name, n := range d.switchStats().TableEntries {
+				if n != len(ref.State.Maps[name]) {
+					t.Fatalf("switch table %s has %d entries, server has %d", name, n, len(ref.State.Maps[name]))
 				}
 			}
 		})
@@ -146,40 +202,30 @@ func randTuple(rng *rand.Rand) packet.FiveTuple {
 }
 
 func TestServerRecordsReplicatedUpdates(t *testing.T) {
-	prog, d := deploy(t, "minilb")
-	_ = prog
-	if err := d.Configure(func(st *ir.State) { middleboxes.ConfigureState("minilb", st) }); err != nil {
-		t.Fatal(err)
-	}
+	_, d := deploy(t, "minilb", func(st *ir.State) { middleboxes.ConfigureState("minilb", st) })
 	pkt := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
-	tr, err := d.Process(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.FastPath {
+	_, fast, stalled := d.send(pkt)
+	if fast {
 		t.Fatal("first packet of a connection must take the slow path")
 	}
-	if tr.SyncOps == 0 {
+	if !stalled {
 		t.Fatal("server insert produced no sync operations")
 	}
 	// The switch now has the entry: second packet is fast.
 	pkt2 := packet.BuildTCP(packet.MakeIPv4Addr(1, 2, 3, 4), packet.MakeIPv4Addr(9, 9, 9, 9), 1, 80, packet.TCPOptions{})
-	tr2, err := d.Process(pkt2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr2.FastPath {
+	_, fast, stalled = d.send(pkt2)
+	if !fast {
 		t.Fatal("second packet should take the fast path after sync")
 	}
-	if tr2.SyncOps != 0 {
+	if stalled {
 		t.Error("fast path incurred sync operations")
 	}
 }
 
 func TestServerRejectsPacketWithoutHeader(t *testing.T) {
-	_, d := deploy(t, "minilb")
+	_, res := partitioned(t, "minilb", nil)
 	pkt := packet.BuildTCP(1, 2, 3, 4, packet.TCPOptions{})
-	if _, err := d.Server.Process(pkt); err == nil {
+	if _, err := serverrt.New(res).Process(pkt); err == nil {
 		t.Fatal("server must reject packets without gallium_a")
 	}
 }
@@ -189,21 +235,13 @@ func TestServerRejectsPacketWithoutHeader(t *testing.T) {
 // observes all of p's updates, while a packet racing the sync observes
 // none — and in both cases each update batch is atomic.
 func TestRunToCompletionCausality(t *testing.T) {
-	spec, _ := middleboxes.Lookup("mazunat")
-	prog, err := lang.Compile(spec.Source)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := partition.Partition(prog, partition.DefaultConstraints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDeployment(res)
+	_, res := partitioned(t, "mazunat", nil)
+	sw, srv := switchsim.New(res), serverrt.New(res)
 
 	// p: first outbound packet of a connection (slow path, allocates a
 	// port, updates fwd+rev+counter).
 	p := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{Flags: packet.TCPFlagSYN})
-	pre, err := d.Switch.ProcessPre(p)
+	pre, err := sw.ProcessPreShard(p, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +252,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srvRes, err := d.Server.Process(rx)
+	srvRes, err := srv.Process(rx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +269,12 @@ func TestRunToCompletionCausality(t *testing.T) {
 	// Stage but do NOT flip: a concurrent packet q of the same connection
 	// must observe NONE of the updates (it re-takes the slow path).
 	for _, u := range srvRes.Updates {
-		if err := d.Switch.StageWriteback(u); err != nil {
+		if err := sw.StageWriteback(u); err != nil {
 			t.Fatal(err)
 		}
 	}
 	q := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	qPre, err := d.Switch.ProcessPre(q)
+	qPre, err := sw.ProcessPreShard(q, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,9 +284,9 @@ func TestRunToCompletionCausality(t *testing.T) {
 
 	// Flip: p would now be released (output commit). A causally-later
 	// packet observes ALL updates: fast path with the same translation.
-	d.Switch.FlipVisibility()
+	sw.FlipVisibility()
 	q2 := packet.BuildTCP(packet.MakeIPv4Addr(10, 0, 0, 1), packet.MakeIPv4Addr(99, 0, 0, 1), 1234, 80, packet.TCPOptions{})
-	q2Pre, err := d.Switch.ProcessPre(q2)
+	q2Pre, err := sw.ProcessPreShard(q2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +300,7 @@ func TestRunToCompletionCausality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Switch.ProcessPost(back); err != nil {
+	if _, err := sw.ProcessPostShard(back, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if q2.TCP.SrcPort != back.TCP.SrcPort {
@@ -273,13 +311,10 @@ func TestRunToCompletionCausality(t *testing.T) {
 // TestIPGatewayDeploymentEquivalence runs the LPM-based gateway through
 // the full deployment (LPM tables load onto the switch at configure time).
 func TestIPGatewayDeploymentEquivalence(t *testing.T) {
-	prog, d := deploy(t, "ipgateway")
-	ref := NewSoftware(prog)
 	setup := func(st *ir.State) { middleboxes.ConfigureState("ipgateway", st) }
+	prog, d := deploy(t, "ipgateway", setup)
+	ref := serverrt.NewSoftware(prog)
 	setup(ref.State)
-	if err := d.Configure(setup); err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(17))
 	fast := 0
 	for i := 0; i < 1500; i++ {
@@ -290,17 +325,14 @@ func TestIPGatewayDeploymentEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := d.Process(pktDep)
-		if err != nil {
-			t.Fatal(err)
+		act, isFast, _ := d.send(pktDep)
+		if rRef.Action != act {
+			t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, act)
 		}
-		if rRef.Action != tr.Action {
-			t.Fatalf("pkt %d: action ref=%v dep=%v", i, rRef.Action, tr.Action)
-		}
-		if tr.Action == ir.ActionSent && (pktRef.IP.DstIP != pktDep.IP.DstIP || pktRef.IP.TTL != pktDep.IP.TTL) {
+		if act == ir.ActionSent && (pktRef.IP.DstIP != pktDep.IP.DstIP || pktRef.IP.TTL != pktDep.IP.TTL) {
 			t.Fatalf("pkt %d: hop/ttl mismatch", i)
 		}
-		if tr.FastPath {
+		if isFast {
 			fast++
 		}
 	}
@@ -337,30 +369,20 @@ middlebox srvlpm {
 	if len(res.OffloadedGlobals) != 0 {
 		t.Fatalf("unannotated lpm offloaded: %v", res.OffloadedGlobals)
 	}
-	d := NewDeployment(res)
-	if err := d.Configure(func(st *ir.State) {
+	d := newPair(t, res, func(st *ir.State) {
 		st.AddRoute("routes", uint64(packet.MakeIPv4Addr(10, 0, 0, 0)), 8, 42)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	pkt := packet.BuildTCP(1, packet.MakeIPv4Addr(10, 1, 2, 3), 1, 2, packet.TCPOptions{})
-	tr, err := d.Process(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.FastPath {
+	act, fast, _ := d.send(pkt)
+	if fast {
 		t.Error("server-side lpm cannot be fast")
 	}
-	if tr.Action != ir.ActionSent || uint64(pkt.IP.DstIP) != 42 {
-		t.Errorf("action=%v hop=%v", tr.Action, pkt.IP.DstIP)
+	if act != ir.ActionSent || uint64(pkt.IP.DstIP) != 42 {
+		t.Errorf("action=%v hop=%v", act, pkt.IP.DstIP)
 	}
 	miss := packet.BuildTCP(1, packet.MakeIPv4Addr(11, 1, 2, 3), 1, 2, packet.TCPOptions{})
-	tr, err = d.Process(miss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Action != ir.ActionDropped {
-		t.Errorf("miss action = %v", tr.Action)
+	if act, _, _ = d.send(miss); act != ir.ActionDropped {
+		t.Errorf("miss action = %v", act)
 	}
 }
 
@@ -370,26 +392,20 @@ middlebox srvlpm {
 // the new rule the packet after — on both the server state and the
 // offloaded switch tables, in one flip.
 func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
-	_, d := deploy(t, "firewall")
 	tupA := packet.FiveTuple{
 		SrcIP: packet.MakeIPv4Addr(10, 0, 0, 1), DstIP: packet.MakeIPv4Addr(93, 184, 0, 7),
 		SrcPort: 34000, DstPort: 80, Proto: packet.IPProtocolTCP,
 	}
 	tupB := tupA
 	tupB.SrcIP = packet.MakeIPv4Addr(10, 0, 0, 2)
-	if err := d.Configure(func(st *ir.State) { middleboxes.AllowFlow(st, tupA) }); err != nil {
-		t.Fatal(err)
-	}
+	_, d := deploy(t, "firewall", func(st *ir.State) { middleboxes.AllowFlow(st, tupA) })
 
 	send := func(tup packet.FiveTuple) ir.Action {
 		t.Helper()
 		pkt := packet.BuildTCP(tup.SrcIP, tup.DstIP, tup.SrcPort, tup.DstPort,
 			packet.TCPOptions{Flags: packet.TCPFlagACK})
-		tr, err := d.Process(pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr.Action
+		act, _, _ := d.send(pkt)
+		return act
 	}
 
 	if got := send(tupA); got != ir.ActionSent {
@@ -410,7 +426,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 		{Table: "wl_out", Key: keyB, Vals: []uint64{1}},
 		{Table: "wl_out", Key: keyA, Delete: true},
 	}
-	if err := d.Reconfigure(mutate, updates); err != nil {
+	if err := d.tb.Reconfigure(mutate, updates); err != nil {
 		t.Fatal(err)
 	}
 
@@ -420,7 +436,7 @@ func TestDeploymentReconfigureAtomicFlip(t *testing.T) {
 	if got := send(tupA); got == ir.ActionSent {
 		t.Fatal("post-reconfig: flow A still passes after its rule was removed")
 	}
-	if got := d.Switch.Stats().Reconfigs; got != 1 {
+	if got := d.switchStats().Reconfigs; got != 1 {
 		t.Fatalf("switch counted %d reconfigs, want 1", got)
 	}
 }

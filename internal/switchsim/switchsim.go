@@ -176,7 +176,7 @@ type liveStats struct {
 // Switch simulates one programmable switch loaded with a compiled
 // middlebox.
 //
-// Concurrency: the data plane (ProcessPre/ProcessPost) is lock-free — it
+// Concurrency: the data plane (ProcessPreShard/ProcessPostShard) is lock-free — it
 // reads an immutable state snapshot through one atomic pointer load, like
 // RCU, so any number of worker pipelines proceed in parallel without
 // convoying on a lock, as on real switch hardware where the match-action
@@ -760,29 +760,6 @@ type PreResult struct {
 	Steps int
 }
 
-// ProcessPre runs the pre-processing partition over the packet. If the
-// packet must continue to the server (ActionNext), the synthesized
-// gallium_a header is attached and populated.
-func (sw *Switch) ProcessPre(pkt *packet.Packet) (PreResult, error) {
-	return sw.ProcessPreTouch(pkt, nil)
-}
-
-// ProcessPreTouch is ProcessPre with a per-call touch callback: onTouch
-// fires for every table hit during the pass, letting the flow-state
-// lifecycle stamp fast-path liveness. A nil onTouch is free.
-func (sw *Switch) ProcessPreTouch(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPre(pkt, onTouch, 0)
-}
-
-// ProcessPreShard is ProcessPreTouch with the calling worker's shard
-// index: the pass consults the shard's lane overlay before the global
-// snapshot (so the shard sees its own flipped write-backs immediately)
-// and accounts into the lane's padded counter block instead of shared
-// atomics.
-func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPre(pkt, onTouch, shard)
-}
-
 // laneAt returns the shard's lane, falling back to lane 0 for
 // out-of-range indices (single-lane switches serve every caller).
 func (sw *Switch) laneAt(shard int) *ctlLane {
@@ -792,7 +769,16 @@ func (sw *Switch) laneAt(shard int) *ctlLane {
 	return sw.lanes[shard]
 }
 
-func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
+// ProcessPreShard runs the pre-processing partition over the packet on
+// behalf of the calling worker's shard. If the packet must continue to
+// the server (ActionNext), the synthesized gallium_a header is attached
+// and populated. The pass consults the shard's lane overlay before the
+// global snapshot (so the shard sees its own flipped write-backs
+// immediately) and accounts into the lane's padded counter block instead
+// of shared atomics. onTouch, when non-nil, fires for every table hit
+// during the pass, letting the flow-state lifecycle stamp fast-path
+// liveness. A single-lane switch serves every shard index from lane 0.
+func (sw *Switch) ProcessPreShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
 	// The data plane is lock-free: one atomic load pins the state snapshot
 	// (and the shard's lane overlay) for the whole pass, so every worker's
 	// pre pass runs concurrently and a control-plane flip mid-pass cannot
@@ -853,25 +839,10 @@ func (sw *Switch) processPre(pkt *packet.Packet, onTouch func(table string, key 
 	return PreResult{Action: r.Action, Steps: r.Steps}, nil
 }
 
-// ProcessPost runs the post-processing partition over a packet returning
-// from the server (it must carry the gallium_b header, which is stripped).
-func (sw *Switch) ProcessPost(pkt *packet.Packet) (PreResult, error) {
-	return sw.ProcessPostTouch(pkt, nil)
-}
-
-// ProcessPostTouch is ProcessPost with a per-call touch callback; see
-// ProcessPreTouch.
-func (sw *Switch) ProcessPostTouch(pkt *packet.Packet, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPost(pkt, onTouch, 0)
-}
-
-// ProcessPostShard is ProcessPostTouch with the calling worker's shard
-// index; see ProcessPreShard.
+// ProcessPostShard runs the post-processing partition over a packet
+// returning from the server (it must carry the gallium_b header, which is
+// stripped) on behalf of the calling worker's shard; see ProcessPreShard.
 func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(table string, key ir.MapKey)) (PreResult, error) {
-	return sw.processPost(pkt, onTouch, shard)
-}
-
-func (sw *Switch) processPost(pkt *packet.Packet, onTouch func(table string, key ir.MapKey), shard int) (PreResult, error) {
 	snap := sw.snap.Load()
 	ln := sw.laneAt(shard)
 	ls := &ln.stats

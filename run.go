@@ -35,19 +35,13 @@ type Packet = packet.Packet
 // to a default.
 type Option func(*runConfig)
 
-// RunOption is Option's original (pre-Session) name.
-//
-// Deprecated: the two names are one type; new code should say Option.
-type RunOption = Option
-
 type runConfig struct {
 	engine.Config
 	scenario bool
 	flows    []packet.FiveTuple
-	// seedFns run per shard before the engine starts; settleFns run per
-	// shard after the run settles. WithState registers in both.
-	seedFns   []func(shard int, st *ir.State)
-	settleFns []func(shard int, st *ir.State)
+	// stateFns run per shard before the engine starts and again after
+	// the run settles (WithState).
+	stateFns []func(shard int, st *ir.State)
 	// mergedFns run once after the settle hooks with the shard states
 	// merged under the certificate-selected policy (WithMergedState).
 	mergedFns []func(merged *ir.State, exact bool, conflict string)
@@ -107,26 +101,8 @@ func WithFlows(flows []packet.FiveTuple) Option {
 // WithScenario or reconfigure them via Session.Reconfigure.
 func WithState(fn func(shard int, st *ir.State)) Option {
 	return func(c *runConfig) {
-		c.seedFns = append(c.seedFns, fn)
-		c.settleFns = append(c.settleFns, fn)
+		c.stateFns = append(c.stateFns, fn)
 	}
-}
-
-// WithSetup seeds each shard's state before the engine starts.
-//
-// Deprecated: WithSetup is WithState's seeding half; new code should use
-// WithState.
-func WithSetup(fn func(shard int, st *ir.State)) Option {
-	return func(c *runConfig) { c.seedFns = append(c.seedFns, fn) }
-}
-
-// WithShardStates registers a callback invoked once per shard after the
-// run settles, exposing each shard's final authoritative middlebox state.
-//
-// Deprecated: WithShardStates is WithState's inspection half; new code
-// should use WithState.
-func WithShardStates(fn func(shard int, st *ir.State)) Option {
-	return func(c *runConfig) { c.settleFns = append(c.settleFns, fn) }
 }
 
 // WithMergedState registers a hook invoked once when the session closes,

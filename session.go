@@ -112,7 +112,7 @@ type Session struct {
 	workers int
 	cancel  context.CancelFunc
 
-	settleFns []func(shard int, st *ir.State)
+	stateFns  []func(shard int, st *ir.State)
 	mergedFns []func(merged *ir.State, exact bool, conflict string)
 	// merge combines shard states for the mergedFns hooks; bound to stage
 	// 0's artifacts at open time (Artifacts.MergeShardStates).
@@ -155,8 +155,8 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 		switch {
 		case cfg.scenario:
 			st.Setup = a.shardScenarioSetup(cfg.flows, workers)
-		case i == 0 && len(cfg.seedFns) > 0:
-			seeds := cfg.seedFns
+		case i == 0 && len(cfg.stateFns) > 0:
+			seeds := cfg.stateFns
 			st.Setup = func(shard int, state *ir.State) {
 				for _, fn := range seeds {
 					fn(shard, state)
@@ -180,7 +180,7 @@ func openSession(ctx context.Context, arts []*Artifacts, opts []Option) (*Sessio
 		targets:   targets,
 		workers:   workers,
 		cancel:    cancel,
-		settleFns: cfg.settleFns,
+		stateFns:  cfg.stateFns,
 		mergedFns: cfg.mergedFns,
 		merge:     arts[0].MergeShardStates,
 	}, nil
@@ -284,8 +284,8 @@ func (s *Session) Drain() error {
 }
 
 // Close stops the session — joins the workers and the control-plane
-// drainer — and returns the final report. Any WithState /
-// WithShardStates hooks observe each shard's final state here, and
+// drainer — and returns the final report. Any WithState hooks observe
+// each shard's final state here, and
 // WithMergedState hooks then receive the certificate-policy merge of
 // those states. Idempotent: later calls return the first result.
 func (s *Session) Close() (*Report, error) {
@@ -303,10 +303,10 @@ func (s *Session) Close() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(s.settleFns) > 0 || len(s.mergedFns) > 0 {
+	if len(s.stateFns) > 0 || len(s.mergedFns) > 0 {
 		states := s.eng.ShardStates()
 		for shard, st := range states {
-			for _, fn := range s.settleFns {
+			for _, fn := range s.stateFns {
 				fn(shard, st)
 			}
 		}

@@ -525,26 +525,6 @@ func TestWithStateSeedsAndInspects(t *testing.T) {
 	if finalRules == 0 {
 		t.Error("settle phase observed no seeded rules")
 	}
-
-	// Deprecated aliases: WithSetup only seeds, WithShardStates only
-	// inspects.
-	var setupCalls, inspectCalls int
-	_, err = art.Run(context.Background(), gen,
-		gallium.WithWorkers(2),
-		gallium.WithSetup(func(shard int, st *ir.State) {
-			setupCalls++
-			for _, tup := range gen.Tuples() {
-				middleboxes.AllowFlow(st, tup)
-			}
-		}),
-		gallium.WithShardStates(func(shard int, st *ir.State) { inspectCalls++ }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if setupCalls != 2 || inspectCalls != 2 {
-		t.Errorf("alias calls: setup %d, inspect %d, want 2 and 2", setupCalls, inspectCalls)
-	}
 }
 
 // TestSessionServeSocket round-trips the full external control path: a
