@@ -107,7 +107,6 @@ func TestFastPathAllocs(t *testing.T) {
 						}
 					}
 					sw.FlipVisibility()
-					sw.MergeWriteback()
 				}
 				if res.Action != ir.ActionNext {
 					return nil

@@ -118,7 +118,6 @@ func BenchmarkTable3StateSync(b *testing.B) {
 			b.Fatal(err)
 		}
 		sw.FlipVisibility()
-		sw.MergeWriteback()
 	}
 	b.StopTimer()
 	rows := eval.Table3()
@@ -261,7 +260,6 @@ func BenchmarkSwitchFastPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	sw.FlipVisibility()
-	sw.MergeWriteback()
 	pristine := packet.BuildTCP(src, dst, 1000, 80, packet.TCPOptions{})
 	pkt := &packet.Packet{}
 	b.ReportAllocs()
@@ -307,7 +305,6 @@ func BenchmarkSwitchPreMazuNAT(b *testing.B) {
 		}
 	}
 	sw.FlipVisibility()
-	sw.MergeWriteback()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

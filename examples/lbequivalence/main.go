@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 
 	"gallium"
 	"gallium/internal/ir"
@@ -86,11 +87,11 @@ func main() {
 	tb.Settle()
 	sw, _ := tb.SwitchStats()
 	fmt.Printf("  states equal at end: %v\n", ref.State.Equal(tb.ServerState()))
-	fmt.Printf("  connection entries: server=%d switch=%d\n",
-		len(tb.ServerState().Maps["conns"]), sw.TableEntries["conns"])
-	if mismatches == 0 && ref.State.Equal(tb.ServerState()) {
-		fmt.Println("PASS: partitioned deployment is functionally equivalent to the input middlebox")
-	} else {
+	serverConns, switchConns := len(tb.ServerState().Maps["conns"]), sw.TableEntries["conns"]
+	fmt.Printf("  connection entries: server=%d switch=%d\n", serverConns, switchConns)
+	if mismatches != 0 || !ref.State.Equal(tb.ServerState()) || serverConns != switchConns {
 		fmt.Println("FAIL")
+		os.Exit(1)
 	}
+	fmt.Println("PASS: partitioned deployment is functionally equivalent to the input middlebox")
 }

@@ -7,7 +7,7 @@
 // per-core tables); the switch pipeline runs as a
 // shared stage whose data plane takes only a read lock; and the §4.3.3
 // write-back slow path is a real bounded channel drained by a dedicated
-// control-plane goroutine that stages, flips, and merges batches.
+// control-plane goroutine that stages, flips, and folds batches.
 //
 // Ordering guarantees: packets of one flow always hash to the same worker
 // and each worker runs one packet to completion before starting the next,
@@ -669,13 +669,13 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 	// flush marker: worker i is the only sender on lane i and is paused,
 	// so a marker enqueued now is behind every batch staged before the
 	// pause, and its apply proves the lane is empty and its drainer idle.
-	// Then fold the target switch's per-shard lane overlays into the main
+	// Then apply the whole reconfiguration through netsim.Reconfigure,
+	// the testbed's path too: fold the target switch's lanes into the main
 	// tables (a stale lane entry would otherwise shadow this
-	// reconfiguration's staged deletions) and apply the whole
-	// reconfiguration directly: stage everything, flip ONCE, merge. The
-	// intermediate fold publication is unobservable — no worker processes
-	// packets until release — so the single FlipVisibility snapshot store
-	// remains the §4.3.3 atomicity for the data plane.
+	// reconfiguration's staged deletions), stage everything, flip ONCE.
+	// The intermediate fold publication is unobservable — no worker
+	// processes packets until release — so the single FlipVisibility
+	// snapshot store remains the §4.3.3 atomicity for the data plane.
 	if len(e.sws) > 0 {
 		markers := make([]chan struct{}, 0, len(e.ctls))
 		for _, cs := range e.ctls {
@@ -696,18 +696,13 @@ func (e *Engine) Reconfigure(r Reconfig) error {
 				return ctx.Err()
 			}
 		}
-		sw := e.sws[r.Stage]
-		sw.FoldShards()
-		_, staged, rejected, err := netsim.StageBatch(sw, -1, shardUpdates, false)
+		staged, rejected, err := netsim.Reconfigure(e.sws[r.Stage], shardUpdates)
 		e.rcRejected.Add(int64(rejected))
 		if err != nil {
 			close(release)
 			e.fail(err)
 			return err
 		}
-		sw.FlipVisibility()
-		sw.CompactWriteback()
-		sw.MarkReconfig()
 		e.rcBatches.Add(1)
 		e.rcOps.Add(int64(staged))
 	}
@@ -809,12 +804,12 @@ func (e *Engine) Run(ctx context.Context, wl Workload) (*Report, error) {
 
 // drainCtl is one shard's control-plane drainer: it applies each of its
 // worker's slow-path batches through the §4.3.3 protocol — stage every
-// update, one visibility flip, merge — until the lane closes. Plain table
-// inserts and deletes (the steady-state slow path) ride the shard's own
-// switch lane, so concurrent drainers never serialize on the global
-// control-plane mutex; registers, vectors, and whole-table replacements
-// keep the global path. Full tables are soft failures (the entry stays
-// server-only and its flow keeps taking the slow path).
+// update, one visibility flip, an amortized fold — until the lane closes.
+// Plain table inserts and deletes (the steady-state slow path) ride the
+// shard's own switch lane, so concurrent drainers never serialize on the
+// global control-plane mutex; registers, vectors, and whole-table
+// replacements keep the global path. Full tables are soft failures (the
+// entry stays server-only and its flow keeps taking the slow path).
 func (e *Engine) drainCtl(shard int) {
 	cs := e.ctls[shard]
 	defer e.ctlWG.Done()
@@ -836,15 +831,15 @@ func (e *Engine) drainCtl(shard int) {
 		// ahead of the global entries flipped with them.
 		if global > 0 {
 			sw.FlipVisibility()
-			sw.CompactWriteback()
 		}
 		if lane > 0 {
 			sw.FlipShard(shard)
 			// Amortized: small overlays stay in place (this shard's lookups
 			// read them first anyway); the fold happens once they outgrow
-			// the main table's sqrt threshold. A per-batch fold would copy
-			// the whole main table copy-on-write per slow-path insert —
-			// quadratic under a flow flood.
+			// the main table's sqrt threshold, or at once for a §7 cache
+			// table. A per-batch fold would copy the whole main table
+			// copy-on-write per slow-path insert — quadratic under a flow
+			// flood.
 			sw.CompactShard(shard)
 		}
 		if lane+global > 0 {

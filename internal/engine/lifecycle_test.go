@@ -153,10 +153,7 @@ func TestExpiryCannotResurrectStaleWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	flip := func() {
-		sw.FlipVisibility()
-		sw.MergeWriteback()
-	}
+	flip := sw.FlipVisibility
 
 	// Establish the entry through an ordinary write-back window.
 	stage(switchsim.Update{Table: "conns", Key: key, Vals: []uint64{9}})

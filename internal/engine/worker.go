@@ -154,7 +154,7 @@ func (w *worker) maybeSweep(ctx context.Context, npkts int) {
 // sweep expires (and, over capacity, evicts) this worker's tracked flow
 // entries as of its latest packet time. Removals of switch-resident
 // entries ship through the ordinary control channel as expiry-marked
-// deletions, so they ride the §4.3.3 stage/flip/merge discipline: a
+// deletions, so they ride the §4.3.3 stage/flip/fold discipline: a
 // later re-insert of the same key is enqueued behind the deletion on the
 // FIFO channel (or supersedes it within the same staged window, last
 // writer wins), so an expiry can never resurrect a stale entry over a

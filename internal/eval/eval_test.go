@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -317,6 +318,35 @@ func TestAblationsRun(t *testing.T) {
 	}
 	if !better {
 		t.Error("rematerialization shows no benefit anywhere")
+	}
+}
+
+// TestAblationCacheSizeRows pins the switch-as-cache sweep exactly: the
+// fast-path share, punts and evictions of every cache size are decided by
+// the switch's fold and FIFO-eviction code.
+func TestAblationCacheSizeRows(t *testing.T) {
+	t.Parallel()
+	rows, err := AblationCacheSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fast-path packets out of the sweep's 12,000.
+	want := []struct{ entries, fast, punts, evictions int }{
+		{0, 9659, 0, 0},
+		{8, 2868, 9132, 9124},
+		{32, 7512, 4488, 4456},
+		{128, 9211, 2789, 2661},
+		{512, 9548, 2452, 1940},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("%d rows, want %d", len(rows), len(want))
+	}
+	for i, w := range want {
+		r := rows[i]
+		fast := int(math.Round(r.FastPathPct * 120))
+		if r.Entries != w.entries || fast != w.fast || r.Punts != w.punts || r.Evictions != w.evictions {
+			t.Errorf("row %d: entries=%d fast=%d punts=%d evictions=%d, want %+v", i, r.Entries, fast, r.Punts, r.Evictions, w)
+		}
 	}
 }
 

@@ -626,8 +626,8 @@ func TestTestbedSwitchMirrorsServer(t *testing.T) {
 						t.Fatalf("switch table %s out of sync at %v", gn, k)
 					}
 				}
-				if tbl.Len() != len(want) {
-					t.Fatalf("switch table %s has %d entries, reference has %d", gn, tbl.Len(), len(want))
+				if len(tbl.Main) != len(want) {
+					t.Fatalf("switch table %s has %d entries, reference has %d", gn, len(tbl.Main), len(want))
 				}
 				checked += len(want)
 			}

@@ -231,23 +231,24 @@ func NewTestbed(cfg Config) (*Testbed, error) {
 	return tb, nil
 }
 
-// stage stages a write-back batch on the switch, accounting full-table
-// rejections, and returns how many updates were staged.
-func (tb *Testbed) stage(updates []switchsim.Update) (int, error) {
-	_, staged, rejected, err := StageBatch(tb.sw, -1, updates, false)
-	tb.lane.Stats.CtlRejected += rejected
-	tb.c.ctlRejected.Add(uint64(rejected))
-	return staged, err
+// reject accounts full-table rejections.
+func (tb *Testbed) reject(n int) {
+	tb.lane.Stats.CtlRejected += n
+	tb.c.ctlRejected.Add(uint64(n))
 }
 
 // commit is the testbed's write-back hook: the batch is staged now
-// (invisible) and its flip scheduled at the modeled control-plane
-// completion time. Output commit holds a synchronous batch's packet until
-// the flip (§4.3.3); a full table is a soft failure — that entry simply
-// never reaches the switch. A punt batch was classified by the walk
-// against this same switch state, so it stages as it is.
+// (invisible) on the switch's one lane, and its flip scheduled at the
+// modeled control-plane completion time. Output commit holds a
+// synchronous batch's packet until the flip (§4.3.3); a full table is a
+// soft failure — that entry simply never reaches the switch. A punt batch
+// was classified by the walk against this same switch state, so it
+// stages as it is.
 func (tb *Testbed) commit(wb Writeback) (int64, error) {
-	staged, err := tb.stage(wb.Updates)
+	lane, global, rejected, err := StageBatch(tb.sw, tb.lane.id, wb.Updates, false)
+	tb.reject(rejected)
+	tb.lane.global = tb.lane.global || global > 0
+	staged := lane + global
 	if err != nil || staged == 0 {
 		return wb.DoneNs, err
 	}
@@ -263,11 +264,11 @@ func (tb *Testbed) commit(wb Writeback) (int64, error) {
 // Reconfigure applies one control-plane change to the sequential testbed
 // between injections: mutate runs against the authoritative server state
 // (returning any extra switch updates, e.g. connection purges), then the
-// given updates plus mutate's are staged and flipped as one batch. It is
-// the oracle counterpart of the engine's Reconfigure — differential tests
+// given updates plus mutate's are applied as one batch through the
+// package-level Reconfigure the engine also uses — differential tests
 // apply the same change at the same packet index on both sides. Any
-// write-back still awaiting its scheduled flip shares the batch (a
-// sequential reconfiguration quiesces the deployment).
+// write-back still awaiting its scheduled flip lands first (a sequential
+// reconfiguration quiesces the deployment).
 func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, updates []switchsim.Update) error {
 	all := append([]switchsim.Update(nil), updates...)
 	if mutate != nil {
@@ -276,14 +277,13 @@ func (tb *Testbed) Reconfigure(mutate func(st *ir.State) []switchsim.Update, upd
 	if tb.sw == nil {
 		return nil
 	}
-	if _, err := tb.stage(all); err != nil {
+	_, rejected, err := Reconfigure(tb.sw, all)
+	tb.reject(rejected)
+	if err != nil {
 		return err
 	}
-	tb.sw.FlipVisibility()
-	tb.sw.MergeWriteback()
-	tb.sw.MarkReconfig()
 	tb.lane.Stats.CtlBatches++
-	tb.lane.flips = tb.lane.flips[:0]
+	tb.lane.flips, tb.lane.global = tb.lane.flips[:0], false
 	return nil
 }
 

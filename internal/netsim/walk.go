@@ -68,12 +68,14 @@ type Lane struct {
 	jitter uint64
 
 	// The fields below are the testbed's: its current packet's hop trace,
-	// its scheduled visibility flips, and its observability handles. They
-	// stay zero in the engine, whose drainers apply write-backs
-	// asynchronously and whose trace methods are never reached.
-	trace *obs.Trace
-	flips []int64
-	o     laneObs
+	// its scheduled visibility flips (global notes that some staged update
+	// took the global path), and its observability handles. They stay zero
+	// in the engine, whose drainers apply write-backs asynchronously and
+	// whose trace methods are never reached.
+	trace  *obs.Trace
+	flips  []int64
+	global bool
+	o      laneObs
 }
 
 // laneObs are the testbed's server-side metric handles (nil-safe).
@@ -375,7 +377,8 @@ func (l *Lane) serve(core int, arrive, start int64, res serverrt.Result, hop *ob
 }
 
 // applyFlips makes every scheduled write-back flip due by nowNs visible
-// to the data plane.
+// to the data plane: the global staging first (when it holds anything),
+// then the lane's own, which folds into the main tables at once.
 func (l *Lane) applyFlips(sw *switchsim.Switch, nowNs int64) {
 	kept := l.flips[:0]
 	for _, at := range l.flips {
@@ -383,8 +386,12 @@ func (l *Lane) applyFlips(sw *switchsim.Switch, nowNs int64) {
 			kept = append(kept, at)
 			continue
 		}
-		sw.FlipVisibility()
-		sw.MergeWriteback()
+		if l.global {
+			sw.FlipVisibility()
+			l.global = false
+		}
+		sw.FlipShard(l.id)
+		sw.FoldShards()
 		l.Stats.CtlBatches++
 	}
 	l.flips = kept
@@ -418,4 +425,19 @@ func StageBatch(sw *switchsim.Switch, shard int, updates []switchsim.Update, pun
 		rejected++
 	}
 	return lane, global, rejected, nil
+}
+
+// Reconfigure applies one control-plane reconfiguration to sw at a
+// quiescent point: fold every lane into the main tables (so a stale lane
+// entry cannot shadow the batch's deletions), stage the whole batch on
+// the global path, flip once, and count it. The testbed and the engine
+// both reconfigure through it.
+func Reconfigure(sw *switchsim.Switch, updates []switchsim.Update) (staged, rejected int, err error) {
+	sw.FoldShards()
+	if _, staged, rejected, err = StageBatch(sw, -1, updates, false); err != nil {
+		return staged, rejected, err
+	}
+	sw.FlipVisibility()
+	sw.MarkReconfig()
+	return staged, rejected, nil
 }

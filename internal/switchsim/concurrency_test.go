@@ -10,7 +10,7 @@ import (
 
 // TestConcurrentDataPlaneAndControlPlane hammers the switch from several
 // data-plane goroutines (one per simulated worker) while a control-plane
-// goroutine continuously stages, flips, and merges write-back batches.
+// goroutine continuously stages and flips write-back batches.
 // Run under -race this is the proof that the read/write lock split keeps
 // the §4.3.3 protocol safe once the engine runs pipeline passes in
 // parallel.
@@ -55,7 +55,6 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 				return
 			}
 			sw.FlipVisibility()
-			sw.MergeWriteback()
 			// Interleave classification-style reads with the batches.
 			sw.VisibleEntry("conn", ir.MakeMapKey(uint64(i)))
 			sw.Stats()
@@ -78,7 +77,7 @@ func TestConcurrentDataPlaneAndControlPlane(t *testing.T) {
 	if got := s.TableEntries["conn"]; got != ctlBatches {
 		t.Errorf("conn entries = %d, want %d", got, ctlBatches)
 	}
-	// Every staged key must be visible after its merge.
+	// Every staged key must be visible after its flip.
 	for i := 0; i < ctlBatches; i++ {
 		if visible, _ := sw.VisibleEntry("conn", ir.MakeMapKey(uint64(i))); !visible {
 			t.Fatalf("entry %d lost", i)
@@ -101,8 +100,7 @@ func TestSeedFromReplicatesEveryKind(t *testing.T) {
 	if visible, _ := sw.VisibleEntry("conn", ir.MakeMapKey(5)); !visible {
 		t.Error("seeded map entry not visible")
 	}
-	tbl, _ := sw.Table("conn")
-	if tbl.UseWB {
-		t.Error("seeding left the write-back overlay active")
+	if sw.staged != nil {
+		t.Error("seeding left updates staged")
 	}
 }

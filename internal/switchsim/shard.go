@@ -8,41 +8,47 @@ import (
 	"gallium/internal/ir"
 )
 
-// Per-shard control-plane lanes.
+// Per-shard control-plane lanes: the switch's one §4.3.3 write-back
+// state machine.
 //
-// The engine runs one control-plane drainer per worker shard. With a
-// single global write-back overlay every drainer would serialize on the
-// switch's control-plane mutex and every flip would copy every other
-// shard's staged entries into the published snapshot — worker N's
-// slow-path write-backs queueing behind worker M's, exactly the convoy
-// the sharded engine exists to avoid. A lane gives each shard its own
-// §4.3.3 write-back overlay: staging and flipping touch only the lane's
-// own mutex and its own atomic view pointer, so shards commit
-// independently. The global snapshot path (registers, vectors,
-// whole-table Replace, seeding) is untouched; plain table inserts and
-// deletes — the entire steady-state slow-path traffic — ride the lanes.
+// A lane's pending set is the write-back table: StageShard records an
+// insert or delete there, invisible to every lookup. FlipShard's single
+// pointer store is the visibility bit: it publishes the pending set as
+// the lane's immutable view, which the shard's own data-plane lookups
+// consult before the main tables. The fold into the main tables is the
+// lazy merge: CompactShard folds a view once it outgrows the sqrt
+// amortization threshold (at every flip for a §7 cache table, so FIFO
+// eviction bounds what the data plane serves), and FoldShards folds every
+// lane at a quiescent point. The engine runs one lane per worker shard,
+// so drainers stage and flip on their own mutex and view pointer without
+// convoying on the switch-wide control-plane mutex; the sequential
+// testbed is a one-lane switch that folds at every flip.
 //
 // Visibility semantics: a lane's flipped entries are visible to lookups
 // that pass the lane's shard index (ProcessPreShard/ProcessPostShard)
 // the moment FlipShard publishes them, and to every other shard only
-// after the lane folds into the main tables (CompactShard, amortized at
-// the same sqrt threshold as the global overlay, or FoldShards at a
-// reconfiguration). Flow affinity makes that exact where it matters: a
-// flow's write-backs are staged by its own shard's drainer and looked
-// up by its own shard's worker, so a flow still never observes the
-// switch missing its own earlier write-back. Cross-shard visibility
-// widens from "until the next flip" to "until the next fold", which is
-// the same benign stale window the engine already documents — a shard
-// that misses another shard's entry takes the slow path, where its own
-// authoritative server state answers.
+// after the lane folds into the main tables. Flow affinity makes that
+// exact where it matters: a flow's write-backs are staged by its own
+// shard's drainer and looked up by its own shard's worker, so a flow
+// still never observes the switch missing its own earlier write-back.
+// Cross-shard visibility widens from "until the next flip" to "until the
+// next fold", which is the same benign stale window the engine already
+// documents — a shard that misses another shard's entry takes the slow
+// path, where its own authoritative server state answers.
+//
+// Global-scope updates (registers, vectors, whole-table Replace, seeding,
+// reconfiguration purges) go through StageWriteback, whose table part
+// stages into a pending set of the same laneTable type under the same
+// admission rule; FlipVisibility folds that set straight into the main
+// tables inside its one snapshot publish.
 //
 // Capacity across lanes is enforced approximately: a lane admits an
-// insert while (global visible size + its own lane-resident entries) is
-// under the table's capacity, so concurrent lanes can transiently
-// overshoot by at most (shards-1) merge thresholds before a fold
-// re-synchronizes. ErrTableFull is a soft failure everywhere, so the
-// overshoot trades a hard cross-lane count (which would re-serialize
-// every drainer on one counter) for bounded slack.
+// insert while (main size + its own lane-resident entries) is under the
+// table's capacity, so concurrent lanes can transiently overshoot by at
+// most (shards-1) merge thresholds before a fold re-synchronizes.
+// ErrTableFull is a soft failure everywhere, so the overshoot trades a
+// hard cross-lane count (which would re-serialize every drainer on one
+// counter) for bounded slack.
 
 // ctlLane is one shard's control-plane lane. The hot fields are padded
 // to cache-line boundaries so two shards' lanes never share a line —
@@ -55,7 +61,7 @@ type ctlLane struct {
 	// (drainer-side, under mu); nil until the lane first stages.
 	pending []*laneTable
 	// view is the published, immutable overlay the shard's data-plane
-	// lookups consult before the global snapshot.
+	// lookups consult before the main tables.
 	view atomic.Pointer[laneOverlay]
 	// stats are this lane's activity counters; Stats() sums them across
 	// lanes so the per-packet hot path never contends on shared atomics.
@@ -63,8 +69,8 @@ type ctlLane struct {
 	_     [64]byte
 }
 
-// laneStats mirrors the data-plane and staging counters of liveStats,
-// padded so adjacent lanes' counter blocks never false-share.
+// laneStats are one lane's data-plane and staging counters, padded so
+// adjacent lanes' counter blocks never false-share.
 type laneStats struct {
 	_                                                  [64]byte
 	prePackets, postPackets, fastPath, toServer, punts atomic.Int64
@@ -80,9 +86,10 @@ type laneOverlay struct {
 	tables []*laneTable
 }
 
-// laneTable is one table's lane-resident overlay: staged inserts plus
-// staged deletions, mutually exclusive per key (last writer wins within
-// a window, as in the global overlay).
+// laneTable is one table's write-back set — a lane's pending or
+// published overlay, or the global staging of StageWriteback: staged
+// inserts plus staged deletions, mutually exclusive per key (last writer
+// wins within a window).
 type laneTable struct {
 	wb  map[ir.MapKey][]uint64
 	del map[ir.MapKey]bool
@@ -92,8 +99,54 @@ func newLaneTable() *laneTable {
 	return &laneTable{wb: map[ir.MapKey][]uint64{}, del: map[ir.MapKey]bool{}}
 }
 
+// pendingTable returns (*set)[id], allocating the set and the table on
+// first use.
+func pendingTable(set *[]*laneTable, n, id int) *laneTable {
+	if *set == nil {
+		*set = make([]*laneTable, n)
+	}
+	if (*set)[id] == nil {
+		(*set)[id] = newLaneTable()
+	}
+	return (*set)[id]
+}
+
+// stageInto records u in pending after the capacity admission rule: an
+// insert into a full non-cached table is refused unless its key is
+// already resident. Occupancy counts the main table, the caller's
+// published lane view (nil for the global staging) and pending's inserts.
+func stageInto(st *snapTable, view *laneOverlay, pending *laneTable, id int, u Update) error {
+	if u.Delete {
+		pending.del[u.Key] = true
+		delete(pending.wb, u.Key)
+		return nil
+	}
+	if st.capacity > 0 && !st.cached {
+		occupied := len(st.main) + view.size(id) + len(pending.wb)
+		if occupied >= st.capacity && !keyAdmitted(st, view, pending, id, u.Key) {
+			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, st.capacity)
+		}
+	}
+	pending.wb[u.Key] = append([]uint64(nil), u.Vals...)
+	delete(pending.del, u.Key)
+	return nil
+}
+
+// keyAdmitted reports whether key is already resident somewhere the
+// stager can see (so overwriting it cannot grow the table).
+func keyAdmitted(st *snapTable, view *laneOverlay, pending *laneTable, id int, key ir.MapKey) bool {
+	if _, ok := pending.wb[key]; ok {
+		return true
+	}
+	if _, hit, _ := view.lookup(id, key); hit {
+		return true
+	}
+	_, hit := st.main[key]
+	return hit
+}
+
 // lookup resolves a key against the lane overlay: a staged deletion
-// shadows the global view; a staged insert hits.
+// shadows the main tables; a staged insert hits.
 func (ov *laneOverlay) lookup(id int, key ir.MapKey) (vals []uint64, hit, deleted bool) {
 	if ov == nil {
 		return nil, false, false
@@ -138,9 +191,6 @@ func (sw *Switch) ConfigureShards(n int) {
 	sw.lanes = lanes
 }
 
-// Shards reports the configured lane count.
-func (sw *Switch) Shards() int { return len(sw.lanes) }
-
 // LaneEligible reports whether an update may ride a per-shard lane:
 // plain table inserts and deletes (the steady-state slow path). Register
 // writes, vector swaps, and whole-table replacements carry global
@@ -170,49 +220,11 @@ func (sw *Switch) StageShard(shard int, u Update) error {
 	ln.stats.ctlOps.Add(1)
 	sw.c.ctlOps.Inc()
 	sw.c.ctlStaged.Inc()
-	if ln.pending == nil {
-		ln.pending = make([]*laneTable, len(sw.tables))
+	if u.Delete && u.Expire {
+		ln.stats.expired.Add(1)
+		sw.c.expired.Inc()
 	}
-	lt := ln.pending[g.ID]
-	if lt == nil {
-		lt = newLaneTable()
-		ln.pending[g.ID] = lt
-	}
-	if u.Delete {
-		if u.Expire {
-			ln.stats.expired.Add(1)
-			sw.c.expired.Inc()
-		}
-		lt.del[u.Key] = true
-		delete(lt.wb, u.Key)
-		return nil
-	}
-	if st.capacity > 0 && !st.cached {
-		// Approximate cross-lane capacity: global visible size plus this
-		// lane's resident entries. See the package comment for the bound.
-		occupied := len(st.main) + len(st.wb) +
-			ln.view.Load().size(g.ID) + len(lt.wb)
-		if occupied >= st.capacity && !sw.keyAdmitted(ln, lt, st, g.ID, u.Key) {
-			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, st.capacity)
-		}
-	}
-	lt.wb[u.Key] = append([]uint64(nil), u.Vals...)
-	delete(lt.del, u.Key)
-	return nil
-}
-
-// keyAdmitted reports whether key is already resident somewhere this
-// lane can see (so overwriting it cannot grow the table). Callers hold
-// ln.mu.
-func (sw *Switch) keyAdmitted(ln *ctlLane, pending *laneTable, st *snapTable, id int, key ir.MapKey) bool {
-	if _, ok := pending.wb[key]; ok {
-		return true
-	}
-	if _, hit, _ := ln.view.Load().lookup(id, key); hit {
-		return true
-	}
-	_, hit, _ := st.lookup(key)
-	return hit
+	return stageInto(st, ln.view.Load(), pendingTable(&ln.pending, len(sw.tables), g.ID), g.ID, u)
 }
 
 // FlipShard publishes shard's staged lane updates in one atomic store —
@@ -272,28 +284,23 @@ func (sw *Switch) FlipShard(shard int) {
 	sw.gEpoch.Set(int64(sw.epoch.Add(1)))
 }
 
-// CompactShard folds shard's published lane overlay into the main tables
-// once it outgrows the same sqrt amortization threshold the global
-// overlay uses. The fold takes the global control-plane mutex (it
-// publishes a fresh snapshot) but runs only once per ~sqrt(main) staged
-// entries, so lanes stay independent in the steady state.
+// CompactShard folds shard's lane into the main tables once one of its
+// published tables is due: a §7 cache table at every flip, so FIFO
+// eviction bounds what the data plane serves, and any other table once
+// its overlay outgrows the sqrt amortization threshold. The whole lane
+// folds, so a batch that spans tables reaches other shards atomically.
+// The fold takes the global control-plane mutex (it publishes a fresh
+// snapshot), but without cache tables it runs only once per ~sqrt(main)
+// staged entries, so lanes stay independent in the steady state.
 func (sw *Switch) CompactShard(shard int) {
 	if shard < 0 || shard >= len(sw.lanes) {
 		return
 	}
 	ln := sw.lanes[shard]
-	ov := ln.view.Load()
-	if ov == nil {
-		return
-	}
-	snap := sw.snap.Load()
+	ov, tables := ln.view.Load(), sw.snap.Load().tables
 	need := false
-	for id := range ov.tables {
-		st := snap.tables[id]
-		if st == nil {
-			continue
-		}
-		if ov.size(id) >= mergeThreshold(len(st.main)) {
+	for id, st := range tables {
+		if n := ov.size(id); st != nil && n > 0 && (st.cached || n >= mergeThreshold(len(st.main))) {
 			need = true
 			break
 		}
@@ -303,61 +310,43 @@ func (sw *Switch) CompactShard(shard int) {
 	}
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	ln.mu.Lock()
-	changed := sw.foldLaneLocked(ln)
-	ln.mu.Unlock()
-	if changed {
+	if sw.foldLaneLocked(ln) {
 		sw.publishLocked()
 	}
 }
 
 // FoldShards folds every lane's overlay (published and pending) into the
-// main tables and publishes once. The engine calls it at quiescent
-// points — before staging a reconfiguration (so stale lane entries
-// cannot shadow the reconfig's staged deletions) and at Stop (so the
-// final table contents are consolidated and exact). Callers must ensure
-// no drainer is concurrently staging; the locks make the fold safe, but
-// only quiescence makes "one visibility flip" mean anything.
+// main tables and publishes once. The testbed calls it after every flip;
+// the engine at quiescent points — before staging a reconfiguration (so
+// stale lane entries cannot shadow the reconfig's staged deletions) and
+// at Stop (so the final table contents are consolidated and exact).
+// Callers must ensure no drainer is concurrently staging; the locks make
+// the fold safe, but only quiescence makes "one visibility flip" mean
+// anything.
 func (sw *Switch) FoldShards() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	changed := false
 	for _, ln := range sw.lanes {
-		ln.mu.Lock()
-		if sw.foldLaneLocked(ln) {
-			changed = true
-		}
-		ln.mu.Unlock()
+		changed = sw.foldLaneLocked(ln) || changed
 	}
 	if changed {
 		sw.publishLocked()
 	}
 }
 
-// foldLaneLocked folds one lane's view and pending overlays into the
-// main tables. Callers hold sw.mu and ln.mu and publish afterwards.
+// foldLaneLocked folds one lane's view and pending overlays into the main
+// tables. Callers hold sw.mu and publish afterwards.
 func (sw *Switch) foldLaneLocked(ln *ctlLane) bool {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
 	changed := false
-	apply := func(id int, lt *laneTable) {
-		if lt == nil || (len(lt.wb) == 0 && len(lt.del) == 0) {
-			return
+	for _, src := range [][]*laneTable{viewTables(ln.view.Load()), ln.pending} {
+		for id, lt := range src {
+			changed = sw.foldLocked(id, lt) || changed
 		}
-		t := sw.tables[id]
-		if t == nil {
-			return
-		}
-		changed = true
-		sw.foldIntoMainLocked(t, lt.wb, lt.del)
 	}
-	if ov := ln.view.Load(); ov != nil {
-		for id, lt := range ov.tables {
-			apply(id, lt)
-		}
-		ln.view.Store(nil)
-	}
-	for id, lt := range ln.pending {
-		apply(id, lt)
-	}
+	ln.view.Store(nil)
 	ln.pending = nil
 	return changed
 }
@@ -385,7 +374,7 @@ func (sw *Switch) laneTableEntries(id int, t *Table) int {
 					seen = map[ir.MapKey]bool{}
 				}
 				seen[k] = true
-				if _, visible := t.Lookup(k); !visible {
+				if _, visible := t.Main[k]; !visible {
 					add++
 				}
 			}
@@ -397,7 +386,7 @@ func (sw *Switch) laneTableEntries(id int, t *Table) int {
 					seen = map[ir.MapKey]bool{}
 				}
 				seen[k] = true
-				if _, visible := t.Lookup(k); visible {
+				if _, visible := t.Main[k]; visible {
 					add--
 				}
 			}

@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"gallium/internal/ir"
+	"gallium/internal/lang"
+	"gallium/internal/middleboxes"
+	"gallium/internal/packet"
+	"gallium/internal/partition"
 )
 
 // laneView resolves a key through one shard's published lane overlay —
@@ -192,6 +196,53 @@ func TestCompactShardAmortized(t *testing.T) {
 	}
 	if hit, _ := laneView(sw, 0, "conn", ir.MakeMapKey(0)); hit {
 		t.Fatal("lane overlay not cleared after compaction")
+	}
+}
+
+// TestCompactShardBoundsCacheTable stages more §7 cache fills into one
+// lane than the cache holds: CompactShard folds a cache table at every
+// flip, so FIFO eviction bounds what the data plane serves.
+func TestCompactShardBoundsCacheTable(t *testing.T) {
+	const cacheSize, extra = 8, 4
+	spec, err := middleboxes.Lookup("minilb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := lang.Compile(spec.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := partition.DefaultConstraints()
+	cons.CacheEntries = map[string]int{"conn": cacheSize}
+	res, err := partition.Partition(prog, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := New(res)
+	for h := 1; h <= cacheSize+extra; h++ {
+		key := ir.MakeMapKey(uint64(packet.MakeIPv4Addr(1, 2, 3, byte(h))^packet.MakeIPv4Addr(9, 9, 9, 9)) & 0xFFFF)
+		u := Update{Table: "conn", Key: key, Vals: []uint64{middleboxes.Backends[0]}, ReadFill: true}
+		if err := sw.StageShard(0, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw.FlipShard(0)
+	sw.CompactShard(0)
+	hits := 0
+	for h := 1; h <= cacheSize+extra; h++ {
+		pre, err := sw.ProcessPreShard(buildFlow(byte(h)), 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pre.Punt {
+			hits++
+		}
+	}
+	if hits > cacheSize {
+		t.Fatalf("%d of %d filled keys hit a %d-entry cache", hits, cacheSize+extra, cacheSize)
+	}
+	if ev := sw.Stats().Evictions; ev != extra {
+		t.Errorf("evictions = %d, want %d", ev, extra)
 	}
 }
 

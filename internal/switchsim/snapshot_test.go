@@ -78,11 +78,6 @@ func TestSnapshotFlipIsAtomic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sw.FlipVisibility()
-		if gen%2 == 0 {
-			// Merge on half the rounds so readers also cross the
-			// flip→merge republication boundary.
-			sw.MergeWriteback()
-		}
 	}
 	close(stop)
 	wg.Wait()

@@ -3,11 +3,13 @@
 // against switch-resident state (match-action tables, registers) under the
 // abstract switch model of §2 — tables are read-only for the data plane,
 // global state is consulted at most once per pass, per-packet scratch is
-// bounded — and state synchronization follows §4.3.3 exactly: every
-// replicated table has a smaller write-back table plus a visibility bit;
-// the server stages updates into the write-back tables through the (slow)
-// control plane, flips the bit with one atomic operation, then lazily
-// merges into the main tables.
+// bounded — and state synchronization follows §4.3.3 exactly, through one
+// write-back state machine: the per-shard control-plane lane (shard.go).
+// A lane's pending set is the write-back table, FlipShard's pointer store
+// is the visibility bit, and the fold into the main tables is the lazy
+// merge. Rare global-scope updates (registers, vectors, whole-table
+// replacements, seeding) stage into the same pending-set type and fold
+// into the main tables inside FlipVisibility's one snapshot publish.
 package switchsim
 
 import (
@@ -29,12 +31,10 @@ import (
 // path.
 var ErrTableFull = errors.New("switchsim: table full")
 
-// Table is one replicated match-action table: the main table plus the
-// §4.3.3 write-back overlay.
+// Table is one replicated match-action table's main content; updates
+// not yet folded into it live in write-back sets (laneTable, shard.go).
 type Table struct {
 	Main     map[ir.MapKey][]uint64
-	WB       map[ir.MapKey][]uint64
-	UseWB    bool
 	Capacity int
 	// Cached marks a §7 cache table: it holds only a subset of the
 	// server's authoritative map, misses punt the packet to the server,
@@ -42,61 +42,19 @@ type Table struct {
 	Cached bool
 	// fifo orders Main's keys by insertion for eviction.
 	fifo []ir.MapKey
-	// deleted marks write-back entries that are deletions ("a special
-	// value indicates table entry deletion").
-	deleted map[ir.MapKey]bool
 	// obs holds this table's counters when the switch is instrumented;
 	// resolved once so the data plane never does a by-name lookup.
 	obs *tableObs
 }
 
 func newTable(capacity int) *Table {
-	return &Table{
-		Main:     map[ir.MapKey][]uint64{},
-		WB:       map[ir.MapKey][]uint64{},
-		deleted:  map[ir.MapKey]bool{},
-		Capacity: capacity,
-	}
+	return &Table{Main: map[ir.MapKey][]uint64{}, Capacity: capacity}
 }
 
-// Lookup consults the write-back table first when the visibility bit is
-// set, then the main table — the data-plane read path of §4.3.3.
+// Lookup reads the main table.
 func (t *Table) Lookup(key ir.MapKey) ([]uint64, bool) {
-	v, ok, _ := t.lookup(key)
-	return v, ok
-}
-
-// lookup additionally reports whether the hit was served from the
-// write-back overlay (the instrumentation distinguishes the two).
-func (t *Table) lookup(key ir.MapKey) ([]uint64, bool, bool) {
-	if t.UseWB {
-		if t.deleted[key] {
-			return nil, false, false
-		}
-		if v, ok := t.WB[key]; ok {
-			return v, true, true
-		}
-	}
 	v, ok := t.Main[key]
-	return v, ok, false
-}
-
-// Len reports the number of visible entries.
-func (t *Table) Len() int {
-	n := len(t.Main)
-	if t.UseWB {
-		for k := range t.WB {
-			if _, dup := t.Main[k]; !dup {
-				n++
-			}
-		}
-		for k := range t.deleted {
-			if _, ok := t.Main[k]; ok {
-				n--
-			}
-		}
-	}
-	return n
+	return v, ok
 }
 
 // Update is one staged control-plane mutation.
@@ -168,9 +126,7 @@ type Stats struct {
 // concurrent data-plane passes (the engine runs one per worker) never
 // race; Stats() folds them into the exported snapshot type.
 type liveStats struct {
-	prePackets, postPackets, fastPath, toServer, punts atomic.Int64
-	evictions, drops, ctlOps, ctlFlips, stepsTotal     atomic.Int64
-	reconfigs, expired                                 atomic.Int64
+	evictions, ctlOps, ctlFlips, reconfigs, expired atomic.Int64
 }
 
 // Switch simulates one programmable switch loaded with a compiled
@@ -181,7 +137,7 @@ type liveStats struct {
 // RCU, so any number of worker pipelines proceed in parallel without
 // convoying on a lock, as on real switch hardware where the match-action
 // stages are read-only for packets. The control plane (StageWriteback,
-// FlipVisibility, MergeWriteback, the Load* configuration calls)
+// FlipVisibility, the lane folds, the Load* configuration calls)
 // serializes on mu, mutates the authoritative state copy-on-write (maps
 // reachable from a published snapshot are never written in place), and
 // publishes a fresh snapshot with one atomic store — the visibility flip
@@ -213,6 +169,9 @@ type Switch struct {
 	vecs [][]uint64
 	// lpms holds offloaded LPM tables (control-plane installed, §7).
 	lpms [][]ir.LpmEntry
+	// staged holds table inserts and deletes awaiting the visibility flip,
+	// by global ID (nil until StageWriteback first stages one).
+	staged []*laneTable
 	// stagedRegs are register updates awaiting the visibility flip.
 	stagedRegs []regWrite
 	// stagedVecs are vector replacements awaiting the visibility flip.
@@ -280,38 +239,19 @@ type snapshot struct {
 	hPost *obs.Histogram
 }
 
-// snapTable is one table's view inside a snapshot: the main map (shared
-// with the authoritative Table under copy-on-write discipline) plus a
-// private copy of the write-back overlay taken at flip time.
+// snapTable is one table's view inside a snapshot: the main map, shared
+// with the authoritative Table under copy-on-write discipline.
 type snapTable struct {
 	main     map[ir.MapKey][]uint64
-	wb       map[ir.MapKey][]uint64
-	deleted  map[ir.MapKey]bool
-	useWB    bool
 	cached   bool
 	capacity int
 	obs      *tableObs
 }
 
-// lookup mirrors Table.lookup against the snapshot view.
-func (t *snapTable) lookup(key ir.MapKey) ([]uint64, bool, bool) {
-	if t.useWB {
-		if t.deleted[key] {
-			return nil, false, false
-		}
-		if v, ok := t.wb[key]; ok {
-			return v, true, true
-		}
-	}
-	v, ok := t.main[key]
-	return v, ok, false
-}
-
 // publishLocked builds and atomically publishes a fresh snapshot of the
 // authoritative state. Callers hold mu (or have exclusive access during
-// construction). Main maps are shared by reference — MergeWriteback
-// replaces them copy-on-write — while the small write-back overlays are
-// copied so later staging can't race a reader.
+// construction). Main maps are shared by reference: every fold replaces
+// them copy-on-write.
 func (sw *Switch) publishLocked() {
 	snap := &snapshot{
 		tables:    make([]*snapTable, len(sw.tables)),
@@ -327,19 +267,7 @@ func (sw *Switch) publishLocked() {
 		if t == nil {
 			continue
 		}
-		st := &snapTable{main: t.Main, cached: t.Cached, capacity: t.Capacity, obs: t.obs}
-		if t.UseWB {
-			st.useWB = true
-			st.wb = make(map[ir.MapKey][]uint64, len(t.WB))
-			for k, v := range t.WB {
-				st.wb[k] = v
-			}
-			st.deleted = make(map[ir.MapKey]bool, len(t.deleted))
-			for k := range t.deleted {
-				st.deleted[k] = true
-			}
-		}
-		snap.tables[id] = st
+		snap.tables[id] = &snapTable{main: t.Main, cached: t.Cached, capacity: t.Capacity, obs: t.obs}
 	}
 	sw.snap.Store(snap)
 	sw.gEpoch.Set(int64(sw.epoch.Add(1)))
@@ -348,8 +276,8 @@ func (sw *Switch) publishLocked() {
 // tableObs bundles one replicated table's data-plane counters.
 type tableObs struct {
 	lookups, hits, misses *obs.Counter
-	// wbHits counts hits served from the write-back overlay — lookups that
-	// landed inside the visibility window between flip and merge.
+	// wbHits counts hits served from a lane's write-back overlay — lookups
+	// that landed inside the window between a lane's flip and its fold.
 	wbHits  *obs.Counter
 	entries *obs.Gauge
 }
@@ -398,7 +326,7 @@ func (sw *Switch) Instrument(reg *obs.Registry) {
 			wbHits:  reg.Counter(prefix + "wb_hits"),
 			entries: reg.Gauge(prefix + "entries"),
 		}
-		m.entries.Set(int64(t.Len()))
+		m.entries.Set(int64(len(t.Main)))
 		t.obs = m
 	}
 	sw.publishLocked()
@@ -474,10 +402,10 @@ func compileXferFields(vars []partition.TransferVar, f *packet.HeaderFormat) []x
 
 // SeedFrom installs configured replicated state from an authoritative
 // server-state snapshot: vectors and LPM tables load directly (they are
-// configuration), while map entries and register values go through the
-// ordinary §4.3.3 write-back control plane and are flipped and merged
-// before the call returns. Every runtime (testbed, deployment, engine)
-// seeds its switch through this one path.
+// configuration), while map entries and register values are staged
+// through StageWriteback and land in one FlipVisibility before the call
+// returns. The testbed and the engine seed their switches through this
+// one path.
 func (sw *Switch) SeedFrom(st *ir.State) error {
 	res := sw.Res
 	for _, gn := range res.OffloadedGlobals {
@@ -504,7 +432,6 @@ func (sw *Switch) SeedFrom(st *ir.State) error {
 		}
 	}
 	sw.FlipVisibility()
-	sw.MergeWriteback()
 	return nil
 }
 
@@ -533,18 +460,11 @@ func (sw *Switch) Stats() Stats {
 	sw.mu.RLock()
 	defer sw.mu.RUnlock()
 	s := Stats{
-		PrePackets:   int(sw.stats.prePackets.Load()),
-		PostPackets:  int(sw.stats.postPackets.Load()),
-		FastPath:     int(sw.stats.fastPath.Load()),
-		ToServer:     int(sw.stats.toServer.Load()),
-		Punts:        int(sw.stats.punts.Load()),
 		Evictions:    int(sw.stats.evictions.Load()),
-		Drops:        int(sw.stats.drops.Load()),
 		CtlOps:       int(sw.stats.ctlOps.Load()),
 		CtlFlips:     int(sw.stats.ctlFlips.Load()),
 		Reconfigs:    int(sw.stats.reconfigs.Load()),
 		Expired:      int(sw.stats.expired.Load()),
-		StepsTotal:   int(sw.stats.stepsTotal.Load()),
 		Epoch:        sw.epoch.Load(),
 		TableEntries: map[string]int{},
 	}
@@ -563,7 +483,7 @@ func (sw *Switch) Stats() Stats {
 	}
 	for id, t := range sw.tables {
 		if t != nil {
-			s.TableEntries[sw.Res.Prog.Globals[id].Name] = t.Len() + sw.laneTableEntries(id, t)
+			s.TableEntries[sw.Res.Prog.Globals[id].Name] = len(t.Main) + sw.laneTableEntries(id, t)
 		}
 	}
 	return s
@@ -592,7 +512,7 @@ func (sw *Switch) VisibleEntry(table string, key ir.MapKey) (visible, cached boo
 		return false, false
 	}
 	t := sw.snap.Load().tables[g.ID]
-	_, visible, _ = t.lookup(key)
+	_, visible = t.main[key]
 	return visible, t.cached
 }
 
@@ -648,10 +568,11 @@ func (a *access) MapFind(g *ir.Global, key ir.MapKey) ([]uint64, bool) {
 	if t == nil {
 		return nil, false
 	}
-	vals, hit, fromWB := t.lookup(key)
+	vals, hit := t.main[key]
+	fromLane := false
 	if a.lane != nil {
 		if lv, lhit, ldel := a.lane.lookup(g.ID, key); lhit || ldel {
-			vals, hit, fromWB = lv, lhit, lhit
+			vals, hit, fromLane = lv, lhit, lhit
 		}
 	}
 	if hit && a.onTouch != nil {
@@ -661,7 +582,7 @@ func (a *access) MapFind(g *ir.Global, key ir.MapKey) ([]uint64, bool) {
 		m.lookups.Inc()
 		if hit {
 			m.hits.Inc()
-			if fromWB {
+			if fromLane {
 				m.wbHits.Inc()
 			}
 		} else {
@@ -879,13 +800,13 @@ func (sw *Switch) ProcessPostShard(pkt *packet.Packet, shard int, onTouch func(t
 
 // --- Control plane (§4.3.3) ---
 //
-// The server performs updates in three steps: StageWriteback entries (one
-// control op each), FlipVisibility (one atomic op covering all staged
-// tables), then MergeWriteback when convenient.
+// Global-scope updates stage with StageWriteback (one control op each) and
+// become visible at FlipVisibility (one atomic op covering everything
+// staged). Per-shard table traffic rides the lanes of shard.go.
 
-// StageWriteback installs one update into a write-back table or stages a
-// register value, vector replacement, or whole-table replacement. Staged
-// state is invisible until FlipVisibility.
+// StageWriteback stages one table insert or delete, register value, vector
+// replacement, or whole-table replacement. Staged state is invisible until
+// FlipVisibility.
 func (sw *Switch) StageWriteback(u Update) error {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -915,67 +836,50 @@ func (sw *Switch) StageWriteback(u Update) error {
 	if !ok {
 		return fmt.Errorf("switchsim: table %q not resident", u.Table)
 	}
-	t := sw.tables[g.ID]
+	pending := pendingTable(&sw.staged, len(sw.tables), g.ID)
 	if u.Replace {
-		return sw.stageReplaceLocked(t, u)
+		return stageReplace(sw.tables[g.ID], pending, u)
 	}
-	if u.Delete {
-		if u.Expire {
-			sw.stats.expired.Add(1)
-			sw.c.expired.Inc()
-		}
-		t.deleted[u.Key] = true
-		delete(t.WB, u.Key)
-		return nil
+	if u.Delete && u.Expire {
+		sw.stats.expired.Add(1)
+		sw.c.expired.Inc()
 	}
-	if t.Capacity > 0 && t.Len() >= t.Capacity && !t.Cached {
-		if _, exists := t.Lookup(u.Key); !exists {
-			return fmt.Errorf("%w: %q (%d entries)", ErrTableFull, u.Table, t.Capacity)
-		}
-	}
-	t.WB[u.Key] = append([]uint64(nil), u.Vals...)
-	// Last writer wins within a write-back window: a staged insert
-	// supersedes an earlier staged deletion of the same key, keeping
-	// deleted and WB mutually exclusive so the overlay read path and the
-	// merge agree regardless of application order.
-	delete(t.deleted, u.Key)
-	return nil
+	return stageInto(sw.snap.Load().tables[g.ID], nil, pending, g.ID, u)
 }
 
-// stageReplaceLocked computes the delta from a table's currently visible
-// content to u.Entries and stages it as ordinary write-back inserts and
-// deletions — so a whole-table replacement rides the §4.3.3 flip like any
-// other batch and becomes visible atomically with it.
-func (sw *Switch) stageReplaceLocked(t *Table, u Update) error {
+// stageReplace computes the delta from a table's main and staged content
+// to u.Entries and stages it as ordinary inserts and deletions — so a
+// whole-table replacement rides the §4.3.3 flip like any other batch and
+// becomes visible atomically with it.
+func stageReplace(t *Table, pending *laneTable, u Update) error {
 	if t.Capacity > 0 && len(u.Entries) > t.Capacity && !t.Cached {
 		return fmt.Errorf("%w: %q (%d entries, capacity %d)", ErrTableFull, u.Table, len(u.Entries), t.Capacity)
 	}
-	// Delete every currently visible key absent from the replacement.
+	// Delete every main or staged key absent from the replacement.
 	for k := range t.Main {
 		if _, keep := u.Entries[k]; !keep {
-			t.deleted[k] = true
-			delete(t.WB, k)
+			pending.del[k] = true
 		}
 	}
-	for k := range t.WB {
+	for k := range pending.wb {
 		if _, keep := u.Entries[k]; !keep {
-			t.deleted[k] = true
-			delete(t.WB, k)
+			pending.del[k] = true
+			delete(pending.wb, k)
 		}
 	}
-	// Install the replacement content as staged inserts.
 	for k, v := range u.Entries {
-		t.WB[k] = append([]uint64(nil), v...)
-		delete(t.deleted, k)
+		pending.wb[k] = append([]uint64(nil), v...)
+		delete(pending.del, k)
 	}
 	return nil
 }
 
-// FlipVisibility atomically makes all staged write-back state (and staged
-// register values) visible to the data plane. Under concurrency the single
-// snapshot publication is what makes the flip atomic with respect to
-// in-flight packets: a pass pinned the previous snapshot and sees none of
-// the batch, or loads the new one and sees all of it — never a half.
+// FlipVisibility atomically makes all globally staged state visible to
+// the data plane: staged table updates fold into the main tables
+// copy-on-write, and staged registers and vectors land, all inside one
+// snapshot publication. That single atomic store is the §4.3.3 flip: a
+// pass pinned the previous snapshot and sees none of the batch, or loads
+// the new one and sees all of it — never a half.
 func (sw *Switch) FlipVisibility() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
@@ -983,16 +887,10 @@ func (sw *Switch) FlipVisibility() {
 	sw.stats.ctlOps.Add(1)
 	sw.c.ctlFlips.Inc()
 	sw.c.ctlOps.Inc()
-	for _, t := range sw.tables {
-		if t != nil && (len(t.WB) > 0 || len(t.deleted) > 0) {
-			t.UseWB = true
-			// Keep the occupancy gauge live even while compaction defers
-			// the merge; Len walks only the bounded overlay.
-			if m := t.obs; m != nil {
-				m.entries.Set(int64(t.Len()))
-			}
-		}
+	for id, pending := range sw.staged {
+		sw.foldLocked(id, pending)
 	}
+	sw.staged = nil
 	for _, w := range sw.stagedRegs {
 		sw.registers[w.id] = w.val
 	}
@@ -1018,58 +916,14 @@ func (sw *Switch) MarkReconfig() {
 // has reached in-flight packets.
 func (sw *Switch) Epoch() uint64 { return sw.epoch.Load() }
 
-// MergeWriteback folds write-back contents into the main tables and clears
-// the visibility bit (step 3 of §4.3.3, done off the critical path). For
-// §7 cache tables this is also where FIFO eviction keeps the cache within
-// capacity.
-func (sw *Switch) MergeWriteback() {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	changed := false
-	for _, t := range sw.tables {
-		if t == nil || !t.UseWB {
-			continue
-		}
-		changed = true
-		sw.mergeTableLocked(t)
-	}
-	if changed {
-		sw.publishLocked()
-	}
-}
+// CompactWriteback does nothing: FlipVisibility folds what it flips. It
+// is kept only because perfbench/replica.go calls it; delete it when
+// perfbench next changes.
+func (sw *Switch) CompactWriteback() {}
 
-// CompactWriteback is the amortized form of MergeWriteback: it folds a
-// table's overlay into its main table only once the overlay has outgrown
-// its amortization threshold, and leaves smaller overlays in place for a
-// later pass. §4.3.3 merges "lazily" for exactly this reason — the merge
-// replaces the main table copy-on-write (readers of a published snapshot
-// share it by reference), so folding after every staged insert costs
-// O(main) per update and turns a flow flood into quadratic control-plane
-// work. Deferring until the overlay holds ~sqrt(main) entries makes the
-// per-update cost O(sqrt(main)) while the flip keeps its exact
-// visibility semantics: lookups consult the overlay first either way.
-func (sw *Switch) CompactWriteback() {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	changed := false
-	for _, t := range sw.tables {
-		if t == nil || !t.UseWB {
-			continue
-		}
-		if overlay := len(t.WB) + len(t.deleted); overlay < mergeThreshold(len(t.Main)) {
-			continue
-		}
-		changed = true
-		sw.mergeTableLocked(t)
-	}
-	if changed {
-		sw.publishLocked()
-	}
-}
-
-// mergeThreshold is the overlay size at which compaction folds it into the
-// main table. Each flip copies the overlay into the snapshot and each
-// merge copies the main table, so the per-update amortized cost is
+// mergeThreshold is the lane overlay size at which CompactShard folds it
+// into the main table. Each lane flip copies the overlay and each fold
+// copies the main table, so the per-update amortized cost is
 // overlay/2 + main/overlay — minimized near sqrt(2*main).
 func mergeThreshold(mainLen int) int {
 	th := 64
@@ -1079,33 +933,29 @@ func mergeThreshold(mainLen int) int {
 	return th
 }
 
-// mergeTableLocked folds one table's overlay into its main map. Callers
-// hold mu and publish afterwards.
-func (sw *Switch) mergeTableLocked(t *Table) {
-	sw.foldIntoMainLocked(t, t.WB, t.deleted)
-	t.WB = map[ir.MapKey][]uint64{}
-	t.deleted = map[ir.MapKey]bool{}
-	t.UseWB = false
-}
-
-// foldIntoMainLocked merges one overlay (inserts wb, deletions del) into a
-// table's main map. It is the shared tail of the global write-back merge
-// and the per-shard lane fold. Callers hold mu and publish afterwards.
-func (sw *Switch) foldIntoMainLocked(t *Table, wb map[ir.MapKey][]uint64, del map[ir.MapKey]bool) {
+// foldLocked merges one pending set or lane overlay (inserts, then
+// deletions) into table id's main map and reports whether it held
+// anything. For §7 cache tables this is also where FIFO eviction keeps the
+// cache within capacity. Callers hold mu and publish afterwards.
+func (sw *Switch) foldLocked(id int, lt *laneTable) bool {
+	t := sw.tables[id]
+	if t == nil || lt == nil || len(lt.wb)+len(lt.del) == 0 {
+		return false
+	}
 	// Copy-on-write: readers of the published snapshot share the main
-	// map by reference, so the merge folds into a fresh map and swaps
-	// it in rather than mutating in place.
-	newMain := make(map[ir.MapKey][]uint64, len(t.Main)+len(wb))
+	// map by reference, so the fold builds a fresh map and swaps it in
+	// rather than mutating in place.
+	newMain := make(map[ir.MapKey][]uint64, len(t.Main)+len(lt.wb))
 	for k, v := range t.Main {
 		newMain[k] = v
 	}
-	for k, v := range wb {
+	for k, v := range lt.wb {
 		if _, existed := newMain[k]; !existed {
 			t.fifo = append(t.fifo, k)
 		}
 		newMain[k] = v
 	}
-	for k := range del {
+	for k := range lt.del {
 		delete(newMain, k)
 	}
 	t.Main = newMain
@@ -1121,6 +971,7 @@ func (sw *Switch) foldIntoMainLocked(t *Table, wb map[ir.MapKey][]uint64, del ma
 		}
 	}
 	if m := t.obs; m != nil {
-		m.entries.Set(int64(t.Len()))
+		m.entries.Set(int64(len(t.Main)))
 	}
+	return true
 }

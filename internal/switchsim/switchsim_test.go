@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -45,23 +46,18 @@ func TestWriteBackVisibilityProtocol(t *testing.T) {
 		t.Fatal("staged entry visible before flip")
 	}
 
-	// Step 2: the flip makes it visible atomically.
+	// Step 2: the flip makes it visible atomically, folded into the main
+	// table in the same publish; nothing stays staged.
 	sw.FlipVisibility()
 	v, visible := tbl.Lookup(key)
 	if !visible || v[0] != 7 {
 		t.Fatalf("entry not visible after flip: %v %v", v, visible)
 	}
-
-	// Step 3: merging preserves visibility and clears the overlay.
-	sw.MergeWriteback()
-	if v, visible := tbl.Lookup(key); !visible || v[0] != 7 {
-		t.Fatal("entry lost after merge")
+	if visible, _ := sw.VisibleEntry("conn", key); !visible {
+		t.Fatal("flipped entry missing from the published snapshot")
 	}
-	if tbl.UseWB {
-		t.Error("UseWB still set after merge")
-	}
-	if len(tbl.WB) != 0 {
-		t.Error("write-back table not cleared after merge")
+	if sw.staged != nil {
+		t.Error("staged set not cleared by the flip")
 	}
 }
 
@@ -81,10 +77,6 @@ func TestWriteBackDeletion(t *testing.T) {
 	sw.FlipVisibility()
 	if _, visible := tbl.Lookup(key); visible {
 		t.Fatal("entry still visible after flipped deletion")
-	}
-	sw.MergeWriteback()
-	if _, ok := tbl.Main[key]; ok {
-		t.Fatal("entry still in main table after merge")
 	}
 }
 
@@ -169,8 +161,8 @@ func TestRegisterStagedUntilFlip(t *testing.T) {
 	}
 }
 
-func TestTableCapacityEnforced(t *testing.T) {
-	src := `
+// tinyTableSource offloads one table annotated to hold two entries.
+const tinyTableSource = `
 middlebox tinytbl {
     map<u16 -> u32> t(max = 2);
     proc process(pkt p) {
@@ -179,29 +171,44 @@ middlebox tinytbl {
     }
 }
 `
-	prog, err := lang.Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := partition.Partition(prog, partition.DefaultConstraints())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw := New(res)
+
+func TestTableCapacityEnforced(t *testing.T) {
+	sw := New(compileSrc(t, tinyTableSource))
 	for i := 0; i < 2; i++ {
 		if err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{1}}); err != nil {
 			t.Fatal(err)
 		}
 		sw.FlipVisibility()
-		sw.MergeWriteback()
 	}
-	err = sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(99), Vals: []uint64{1}})
+	err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(99), Vals: []uint64{1}})
 	if err == nil || !strings.Contains(err.Error(), "full") {
 		t.Fatalf("err = %v, want capacity error", err)
 	}
 	// Overwriting an existing key is still allowed.
 	if err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(0), Vals: []uint64{2}}); err != nil {
 		t.Fatalf("overwrite rejected: %v", err)
+	}
+}
+
+// TestStageWritebackBatchRespectsCapacity stages more distinct inserts
+// than a table holds before one flip: admission counts the staged
+// entries, so the surplus is refused and the flip cannot overfill the
+// table.
+func TestStageWritebackBatchRespectsCapacity(t *testing.T) {
+	sw := New(compileSrc(t, tinyTableSource))
+	full := 0
+	for i := 0; i < 5; i++ {
+		err := sw.StageWriteback(Update{Table: "t", Key: ir.MakeMapKey(uint64(i)), Vals: []uint64{1}})
+		switch {
+		case errors.Is(err, ErrTableFull):
+			full++
+		case err != nil:
+			t.Fatal(err)
+		}
+	}
+	sw.FlipVisibility()
+	if visible := sw.Stats().TableEntries["t"]; full != 3 || visible > 2 {
+		t.Fatalf("%d of 5 inserts refused, %d visible; want 3 refused and at most 2 visible", full, visible)
 	}
 }
 

@@ -35,11 +35,11 @@ func buildFlow(host byte) *packet.Packet {
 }
 
 // TestPostPassDuringStaleReadWindow interleaves the data plane with the
-// §4.3.3 control-plane protocol: while a connection's entry is staged but
-// not yet flipped, other packets of the flow still read the OLD table
-// state (the stale-read window output commit protects against), and the
-// held packet's post pass completes normally. After the flip the entry is
-// served from the write-back overlay; after the merge, from the main
+// §4.3.3 control-plane protocol on lane 0: while a connection's entry is
+// staged but not yet flipped, other packets of the flow still read the
+// OLD table state (the stale-read window output commit protects against),
+// and the held packet's post pass completes normally. After the flip the
+// entry is served from the lane's overlay; after the fold, from the main
 // table — and the data plane cannot tell the difference.
 func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	res := compileMB(t, "minilb")
@@ -66,7 +66,7 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	// by the server too, which is exactly why output commit holds p1).
 	key := ir.MakeMapKey(uint64(packet.MakeIPv4Addr(1, 2, 3, 4)^packet.MakeIPv4Addr(9, 9, 9, 9)) & 0xFFFF)
 	backend := middleboxes.Backends[2]
-	if err := sw.StageWriteback(Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
+	if err := sw.StageShard(0, Update{Table: "conn", Key: key, Vals: []uint64{backend}}); err != nil {
 		t.Fatal(err)
 	}
 	p2 := buildFlow(4)
@@ -90,12 +90,12 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Fatalf("post: action=%v daddr=%v, want sent/%d", post.Action, p1.IP.DstIP, backend)
 	}
 
-	// Flip: the visibility bit turns the write-back overlay on, and the
-	// next packet takes the fast path served from the overlay.
-	sw.FlipVisibility()
+	// Flip: the lane publishes its overlay, and the next packet takes the
+	// fast path served from it.
+	sw.FlipShard(0)
 	tbl, _ := sw.Table("conn")
-	if !tbl.UseWB {
-		t.Fatal("visibility bit not set after flip")
+	if hit, _ := laneView(sw, 0, "conn", key); !hit || len(tbl.Main) != 0 {
+		t.Fatalf("after flip: lane hit %v, %d main entries; want the entry in the lane only", hit, len(tbl.Main))
 	}
 	p3 := buildFlow(4)
 	pre3, err := sw.ProcessPreShard(p3, 0, nil)
@@ -110,11 +110,11 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Errorf("wb_hits = %d, want 1 (hit served from the overlay)", got)
 	}
 
-	// Merge: the overlay folds into the main table, the bit clears, and
+	// Fold: the overlay merges into the main table, the lane clears, and
 	// the same lookup is now a plain hit.
-	sw.MergeWriteback()
-	if tbl.UseWB || len(tbl.WB) != 0 {
-		t.Fatalf("overlay not cleared after merge: UseWB=%v |WB|=%d", tbl.UseWB, len(tbl.WB))
+	sw.FoldShards()
+	if hit, _ := laneView(sw, 0, "conn", key); hit || len(tbl.Main) != 1 {
+		t.Fatalf("after fold: lane hit %v, %d main entries; want the entry in main only", hit, len(tbl.Main))
 	}
 	p4 := buildFlow(4)
 	pre4, err := sw.ProcessPreShard(p4, 0, nil)
@@ -130,13 +130,13 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 		t.Errorf("lookups = %d, want 4", got)
 	}
 	if got := snap.Counters["switch.table.conn.hits"]; got != 2 {
-		t.Errorf("hits = %d, want 2 (overlay + merged)", got)
+		t.Errorf("hits = %d, want 2 (overlay + folded)", got)
 	}
 	if got := snap.Counters["switch.table.conn.misses"]; got != 2 {
 		t.Errorf("misses = %d, want 2 (initial + stale window)", got)
 	}
 	if got := snap.Counters["switch.table.conn.wb_hits"]; got != 1 {
-		t.Errorf("wb_hits = %d, want 1 (merged hit is not an overlay hit)", got)
+		t.Errorf("wb_hits = %d, want 1 (folded hit is not an overlay hit)", got)
 	}
 	if got := snap.Counters["switch.post.packets"]; got != 1 {
 		t.Errorf("post packets = %d, want 1", got)
@@ -146,9 +146,9 @@ func TestPostPassDuringStaleReadWindow(t *testing.T) {
 	}
 }
 
-// TestPostPassStagedDeletionWindow covers the deletion side: a staged
-// deletion is invisible until the flip (stale reads still hit), then the
-// overlay masks the entry, and the merge removes it for good — while post
+// TestPostPassStagedDeletionWindow covers the deletion side on the global
+// path: a staged deletion is invisible until the flip (stale reads still
+// hit), then the flip removes the entry from the main table — while post
 // passes keep flowing.
 func TestPostPassStagedDeletionWindow(t *testing.T) {
 	res := compileMB(t, "minilb")
@@ -164,7 +164,6 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw.FlipVisibility()
-	sw.MergeWriteback()
 
 	// Stage a deletion: until the flip, the flow still takes the fast
 	// path (the stale window, in the deleting direction).
@@ -200,12 +199,8 @@ func TestPostPassStagedDeletionWindow(t *testing.T) {
 		t.Fatalf("post after deletion flip: %v", post.Action)
 	}
 
-	sw.MergeWriteback()
 	tbl, _ := sw.Table("conn")
-	if _, ok := tbl.Main[key]; ok {
-		t.Fatal("deleted entry survived the merge")
-	}
-	if tbl.Len() != 0 {
-		t.Fatalf("table len = %d after deletion merge", tbl.Len())
+	if len(tbl.Main) != 0 {
+		t.Fatalf("table len = %d after the deletion flip", len(tbl.Main))
 	}
 }
